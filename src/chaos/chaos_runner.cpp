@@ -194,6 +194,9 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
   engine.arm(next_host);
 
   std::vector<StormLookup> storms(cfg.storm_lookups);
+  // Function scope: the storm events below hold it by reference until
+  // run_until returns.
+  Rng storm_rng = rng.fork(0x570);
   if (cfg.storm_lookups > 0 && !cfg.schedule.phases.empty()) {
     const sim::SimTime window_start = sim.now() + sim::SimTime::seconds(1);
     const auto span = cfg.schedule.end().as_micros() >
@@ -201,7 +204,6 @@ ChaosReport run_chaos(const ChaosConfig& cfg) {
                           ? cfg.schedule.end().as_micros() -
                                 window_start.as_micros()
                           : std::int64_t{1};
-    Rng storm_rng = rng.fork(0x570);
     for (std::uint32_t k = 0; k < cfg.storm_lookups; ++k) {
       const auto at = window_start + sim::SimTime::micros(
                                          span * k / cfg.storm_lookups);

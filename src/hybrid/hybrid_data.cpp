@@ -133,13 +133,14 @@ void HybridSystem::forward_up_to_tpeer(
   }
   net_.send(at, next, cls, bytes, ctx,
             [this, next, bytes, cls, at_root = std::move(at_root), hops, ctx,
-             on_dead = std::move(on_dead)] {
+             on_dead = std::move(on_dead)]() mutable {
               if (tracer_ != nullptr && ctx.valid()) {
                 tracer_->instant(ctx, "climb_hop", next.value(), sim_.now(),
                                  "hop", hops + 1);
               }
-              forward_up_to_tpeer(next, bytes, cls, at_root, hops + 1,
-                                  on_dead, ctx);
+              // A delivery runs once, so the continuations move on.
+              forward_up_to_tpeer(next, bytes, cls, std::move(at_root),
+                                  hops + 1, std::move(on_dead), ctx);
             });
 }
 
@@ -149,66 +150,60 @@ void HybridSystem::route_ring(
     std::function<void(PeerIndex, std::uint32_t, std::uint32_t)> at_owner,
     std::function<bool(PeerIndex, std::uint32_t)> intercept,
     stats::TraceContext ctx) {
+  ring_step(at, hops, contacted,
+            std::make_shared<RingTrip>(RingTrip{target, cls, bytes, ctx,
+                                                std::move(at_owner),
+                                                std::move(intercept)}));
+}
+
+void HybridSystem::ring_step(PeerIndex at, std::uint32_t hops,
+                             std::uint32_t contacted,
+                             const std::shared_ptr<RingTrip>& trip) {
   sim::ComponentScope prof{sim_, sim::Component::kRing};
   Peer& here = peer(at);
   if (!here.joined || here.role != Role::kTPeer) {
     // Mid-churn loss: the request reached a peer that left the ring.
-    net_.note_drop(at, proto::DropReason::kNoRoute, cls, ctx);
+    net_.note_drop(at, proto::DropReason::kNoRoute, trip->cls, trip->ctx);
     return;
   }
-  if (ring::in_arc_open_closed(target, here.predecessor_id.value(),
+  if (ring::in_arc_open_closed(trip->target, here.predecessor_id.value(),
                                here.pid.value()) ||
       here.successor == at) {
-    at_owner(at, hops, contacted);
+    trip->at_owner(at, hops, contacted);
     return;
   }
-  if (intercept && intercept(at, hops)) return;  // surrogate answered
-  ring_forward(at, target, hops, contacted, cls, bytes,
-               std::make_shared<std::function<void(PeerIndex, std::uint32_t,
-                                                   std::uint32_t)>>(
-                   std::move(at_owner)),
-               std::make_shared<std::function<bool(PeerIndex, std::uint32_t)>>(
-                   std::move(intercept)),
-               ctx, 0);
+  // A surrogate t-peer may answer from its cache and end the trip here.
+  if (trip->intercept && trip->intercept(at, hops)) return;
+  ring_forward(at, hops, contacted, trip, 0);
 }
 
-void HybridSystem::ring_forward(
-    PeerIndex at, std::uint64_t target, std::uint32_t hops,
-    std::uint32_t contacted, proto::TrafficClass cls, std::uint32_t bytes,
-    std::shared_ptr<std::function<void(PeerIndex, std::uint32_t,
-                                       std::uint32_t)>> at_owner,
-    std::shared_ptr<std::function<bool(PeerIndex, std::uint32_t)>> intercept,
-    stats::TraceContext ctx, unsigned attempt) {
+void HybridSystem::ring_forward(PeerIndex at, std::uint32_t hops,
+                                std::uint32_t contacted,
+                                std::shared_ptr<RingTrip> trip,
+                                unsigned attempt) {
   sim::ComponentScope prof{sim_, sim::Component::kRing};
   Peer& here = peer(at);
   PeerIndex next = here.successor;
   if (params_.t_routing == TRouting::kFinger) {
-    const chord::Finger f = here.fingers.closest_preceding(target);
+    const chord::Finger f = here.fingers.closest_preceding(trip->target);
     if (f.node != kNoPeer && f.node != at) next = f.node;
   }
   if (next == kNoPeer) {
-    net_.note_drop(at, proto::DropReason::kNoRoute, cls, ctx);
+    net_.note_drop(at, proto::DropReason::kNoRoute, trip->cls, trip->ctx);
     return;
   }
   auto delivered = std::make_shared<bool>(false);
-  net_.send(at, next, cls, bytes, ctx,
-            [this, next, target, hops, contacted, cls, bytes, ctx, at_owner,
-             intercept, delivered] {
-              *delivered = true;
-              if (tracer_ != nullptr && ctx.valid()) {
-                tracer_->instant(ctx, "ring_hop", next.value(), sim_.now(),
-                                 "hop", hops + 1);
-              }
-              route_ring(
-                  next, target, hops + 1, contacted + 1, cls, bytes,
-                  [at_owner](PeerIndex o, std::uint32_t h, std::uint32_t c) {
-                    if (*at_owner) (*at_owner)(o, h, c);
-                  },
-                  *intercept ? [intercept](PeerIndex p, std::uint32_t h) {
-                    return (*intercept)(p, h);
-                  } : std::function<bool(PeerIndex, std::uint32_t)>{},
-                  ctx);
-            });
+  auto hop = [this, next, hops, contacted, trip, delivered] {
+    *delivered = true;
+    if (tracer_ != nullptr && trip->ctx.valid()) {
+      tracer_->instant(trip->ctx, "ring_hop", next.value(), sim_.now(), "hop",
+                       hops + 1);
+    }
+    ring_step(next, hops + 1, contacted + 1, trip);
+  };
+  static_assert(proto::OverlayNetwork::Delivery::stores_inline<decltype(hop)>,
+                "a ring hop must not heap-allocate its delivery closure");
+  net_.send(at, next, trip->cls, trip->bytes, trip->ctx, std::move(hop));
   if (params_.ring_retry_limit == 0 || attempt >= params_.ring_retry_limit) {
     return;
   }
@@ -222,18 +217,19 @@ void HybridSystem::ring_forward(
     backoff += backoff;
   }
   if (params_.ring_retry_cap < backoff) backoff = params_.ring_retry_cap;
-  const sim::Duration wait =
-      net_.hop_latency(at, next, bytes) + net_.hop_latency(at, next, bytes) +
-      backoff;
-  sim_.schedule_after(wait, [this, at, target, hops, contacted, cls, bytes,
-                             ctx, at_owner, intercept, delivered, attempt] {
+  const sim::Duration wait = net_.hop_latency(at, next, trip->bytes) +
+                             net_.hop_latency(at, next, trip->bytes) + backoff;
+  auto watchdog = [this, at, hops, contacted, trip = std::move(trip),
+                   delivered = std::move(delivered), attempt] {
     if (*delivered) return;
     if (!net_.alive(at)) return;
     const Peer& h = peer(at);
     if (!h.joined || h.role != Role::kTPeer) return;
-    ring_forward(at, target, hops, contacted, cls, bytes, at_owner, intercept,
-                 ctx, attempt + 1);
-  });
+    ring_forward(at, hops, contacted, trip, attempt + 1);
+  };
+  static_assert(sim::Simulator::Action::stores_inline<decltype(watchdog)>,
+                "a ring retry watchdog must not heap-allocate");
+  sim_.schedule_after(wait, std::move(watchdog));
 }
 
 void HybridSystem::place_item(PeerIndex at, proto::DataItem item,

@@ -468,10 +468,23 @@ class HybridSystem {
                            std::uint32_t hops,
                            std::function<void()> on_dead = {},
                            stats::TraceContext ctx = {});
-  /// Forwards around the t-network until the owner of `target` is reached.
-  /// When `intercept` is set it runs at every intermediate t-peer; returning
-  /// true consumes the request there (cache hits at surrogate peers,
-  /// Section 7).
+  /// Everything about one t-network trip that stays fixed from hop to hop.
+  /// route_ring creates it once; every hop's delivery and every retry
+  /// watchdog share the same instance, so a hop costs O(1) whatever the
+  /// trip length.
+  struct RingTrip {
+    std::uint64_t target;
+    proto::TrafficClass cls;
+    std::uint32_t bytes;
+    stats::TraceContext ctx;
+    std::function<void(PeerIndex, std::uint32_t, std::uint32_t)> at_owner;
+    std::function<bool(PeerIndex, std::uint32_t)> intercept;
+  };
+  /// Forwards around the t-network until the owner of `target` is reached,
+  /// then runs `at_owner(owner, hops, contacted)` there.  When `intercept`
+  /// is set it runs at every intermediate t-peer; returning true consumes
+  /// the request there (cache hits at surrogate peers, Section 7).  Both
+  /// continuations are boxed once into a RingTrip for the whole trip.
   void route_ring(PeerIndex at, std::uint64_t target, std::uint32_t hops,
                   std::uint32_t contacted, proto::TrafficClass cls,
                   std::uint32_t bytes,
@@ -479,17 +492,16 @@ class HybridSystem {
                       at_owner,
                   std::function<bool(PeerIndex, std::uint32_t)> intercept = {},
                   stats::TraceContext ctx = {});
+  /// The trip arriving at t-peer `at`: drops it if `at` left the ring,
+  /// finishes at the owner, lets `intercept` consume it, or forwards on.
+  void ring_step(PeerIndex at, std::uint32_t hops, std::uint32_t contacted,
+                 const std::shared_ptr<RingTrip>& trip);
   /// One ring hop with retry: sends to the next hop and, while
   /// params_.ring_retry_limit allows, re-resolves and resends after
   /// 2x hop latency + capped exponential backoff if the hop was never
   /// delivered (receiver crashed with the message in flight).
-  void ring_forward(
-      PeerIndex at, std::uint64_t target, std::uint32_t hops,
-      std::uint32_t contacted, proto::TrafficClass cls, std::uint32_t bytes,
-      std::shared_ptr<std::function<void(PeerIndex, std::uint32_t,
-                                         std::uint32_t)>> at_owner,
-      std::shared_ptr<std::function<bool(PeerIndex, std::uint32_t)>> intercept,
-      stats::TraceContext ctx, unsigned attempt);
+  void ring_forward(PeerIndex at, std::uint32_t hops, std::uint32_t contacted,
+                    std::shared_ptr<RingTrip> trip, unsigned attempt);
   void place_item(PeerIndex at, proto::DataItem item, StoreCallback done);
   void spread_item(PeerIndex at, proto::DataItem item, StoreCallback done);
   /// Routes `item` from `from` to the responsible t-peer's s-network

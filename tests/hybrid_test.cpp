@@ -7,8 +7,10 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/alloc_stats.hpp"
 #include "common/hashing.hpp"
 #include "common/ring_math.hpp"
 #include "hybrid/hybrid_system.hpp"
@@ -1460,6 +1462,120 @@ TEST(Hybrid, CacheEntriesExpire) {
   // The origin's own cache is consulted only via try_answer at other peers;
   // its local expired entry cannot produce a hit.
   EXPECT_GE(f.system.cache_hits(), hits_before);
+}
+
+// --- Successor-routed ring trips ------------------------------------------------
+
+/// A successor-only ring of 112 t-peers (ps 0.2 over 140 peers) with
+/// caching and bypass links on and the default ring retry watchdog, plus a
+/// key owned by the t-peer half-way round the ring from `from`.
+struct LongRingTrip {
+  static HybridParams params() {
+    auto p = defaults();
+    p.ps = 0.2;
+    p.t_routing = TRouting::kRing;
+    p.enable_caching = true;
+    p.bypass_links = true;
+    return p;
+  }
+
+  LongRingTrip() : f{91, params()} {
+    f.build(140);
+    from = f.peers[0];  // the ring's seed t-peer
+    // Walk the successor pointers: the trip's route, hop by hop.
+    route.push_back(from);
+    for (std::size_t i = 0; i < f.system.num_tpeers() / 2; ++i) {
+      route.push_back(f.system.successor_of(route.back()));
+    }
+    owner = route.back();
+    for (std::size_t i = 0; key.empty(); ++i) {
+      const std::string k = "ring-key-" + std::to_string(i);
+      if (f.system.owner_tpeer(hash_key(k)) == owner) key = k;
+    }
+    // Stored from the owner itself: a local insert, no ring trip and no
+    // bypass link.
+    bool stored = false;
+    f.system.store(owner, key, 42, [&] { stored = true; });
+    f.world.sim.run();
+    EXPECT_TRUE(stored);
+  }
+
+  [[nodiscard]] std::uint32_t ring_hops() const {
+    return static_cast<std::uint32_t>(route.size() - 1);
+  }
+
+  /// Runs one lookup of `key` from `requester` to quiescence; returns every
+  /// result its callback delivered.
+  std::vector<proto::LookupResult> lookup_from(PeerIndex requester) {
+    std::vector<proto::LookupResult> results;
+    f.system.lookup(requester, key,
+                    [&](proto::LookupResult r) { results.push_back(r); });
+    f.world.sim.run();
+    return results;
+  }
+
+  HybridFixture f;
+  std::vector<PeerIndex> route;  // from .. owner along successors
+  PeerIndex from = kNoPeer;
+  PeerIndex owner = kNoPeer;
+  std::string key;
+};
+
+TEST(Hybrid, RingSurrogateCacheHitConsumesRequest) {
+  LongRingTrip t;
+  ASSERT_GE(t.f.system.num_tpeers(), 100u);
+  // A t-peer half-way along the route fetches the key and caches it.
+  const PeerIndex surrogate = t.route[t.route.size() / 2];
+  const auto warm = t.lookup_from(surrogate);
+  ASSERT_EQ(warm.size(), 1u);
+  ASSERT_TRUE(warm[0].success);
+
+  const std::uint64_t hits = t.f.system.cache_hits();
+  const std::uint64_t owner_answers = t.f.system.answers_served(t.owner);
+  const PeerIndex past = t.f.system.successor_of(surrogate);
+  const std::uint64_t past_received =
+      t.f.world.network->messages_received_by(past);
+  const auto res = t.lookup_from(t.from);
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_TRUE(res[0].success);
+  EXPECT_EQ(res[0].found_at, surrogate);
+  EXPECT_EQ(res[0].request_hops, t.route.size() / 2);
+  EXPECT_EQ(t.f.system.cache_hits(), hits + 1);
+  // The trip ended at the surrogate: nothing travelled further round.
+  EXPECT_EQ(t.f.system.answers_served(t.owner), owner_answers);
+  EXPECT_EQ(t.f.world.network->messages_received_by(past), past_received);
+}
+
+TEST(Hybrid, RingMissReachesOwnerExactlyOnce) {
+  LongRingTrip t;
+  ASSERT_GE(t.f.system.num_tpeers(), 100u);
+  const std::uint64_t owner_answers = t.f.system.answers_served(t.owner);
+  const auto res = t.lookup_from(t.from);
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_TRUE(res[0].success);
+  EXPECT_EQ(res[0].found_at, t.owner);
+  EXPECT_EQ(res[0].request_hops, t.ring_hops());
+  EXPECT_EQ(t.f.system.cache_hits(), 0u);
+  // The owner continuation ran once: one answer served, one reply sent.
+  EXPECT_EQ(t.f.system.answers_served(t.owner), owner_answers + 1);
+}
+
+TEST(Hybrid, RingHopHeapAllocationsStayConstant) {
+  LongRingTrip t;
+  ASSERT_GE(t.ring_hops(), 50u);
+  const std::uint64_t before = alloc_stats::allocation_count();
+  const auto res = t.lookup_from(t.from);
+  const std::uint64_t allocs = alloc_stats::allocation_count() - before;
+  ASSERT_EQ(res.size(), 1u);
+  ASSERT_EQ(res[0].request_hops, t.ring_hops());
+  // The trip's continuations are boxed once, not per hop.  What remains per
+  // hop is the watchdog's delivery flag and the query's visited-set insert
+  // (plus the set's amortised rehashes), about two; re-boxing the
+  // continuations at every hop costs about seven in all.
+  const double per_hop =
+      static_cast<double>(allocs) / static_cast<double>(t.ring_hops());
+  EXPECT_LT(per_hop, 3.0) << allocs << " allocations over " << t.ring_hops()
+                          << " ring hops";
 }
 
 // --- Keyword / partial search (Section 5.3) -------------------------------------------
