@@ -9,6 +9,7 @@
 #include "chaos/chaos_runner.hpp"
 #include "chaos/fault_schedule.hpp"
 #include "chaos/shrinker.hpp"
+#include "common/hashing.hpp"
 
 namespace hp2p::chaos {
 namespace {
@@ -33,6 +34,13 @@ ChaosConfig directed_config(std::uint64_t seed, FaultSchedule schedule) {
   cfg.seed = seed;
   cfg.schedule = std::move(schedule);
   return cfg;
+}
+
+/// Behaviour pin: FNV-1a of the whole report, so any change to what a
+/// directed run does (not only to its verdict) fails loudly.
+void expect_digest(const ChaosReport& report, std::uint64_t pinned) {
+  const std::uint64_t digest = fnv1a64(report.to_json().dump(0));
+  EXPECT_EQ(digest, pinned) << "report digest 0x" << std::hex << digest;
 }
 
 void expect_clean(const ChaosReport& report, const ChaosConfig& cfg) {
@@ -91,6 +99,7 @@ TEST(ChaosDirected, LossBurst) {
   const auto cfg = directed_config(101, single_phase(101, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0xf67e5c791bc6c240ull);
 }
 
 TEST(ChaosDirected, LatencyStorm) {
@@ -99,6 +108,7 @@ TEST(ChaosDirected, LatencyStorm) {
   const auto cfg = directed_config(102, single_phase(102, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0xf40420b36ca92e1full);
 }
 
 TEST(ChaosDirected, AsymmetricPartition) {
@@ -108,6 +118,7 @@ TEST(ChaosDirected, AsymmetricPartition) {
   const auto cfg = directed_config(103, single_phase(103, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0x3e6e9f98ccae8952ull);
 }
 
 TEST(ChaosDirected, SymmetricPartition) {
@@ -117,6 +128,7 @@ TEST(ChaosDirected, SymmetricPartition) {
   const auto cfg = directed_config(104, single_phase(104, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0xc930238610b73001ull);
 }
 
 TEST(ChaosDirected, TPeerCrashStorm) {
@@ -125,6 +137,7 @@ TEST(ChaosDirected, TPeerCrashStorm) {
   const auto cfg = directed_config(105, single_phase(105, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0x8655595f32b8b939ull);
   EXPECT_GT(report.crashes, 0u);
 }
 
@@ -134,6 +147,7 @@ TEST(ChaosDirected, SPeerCrashStorm) {
   const auto cfg = directed_config(106, single_phase(106, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0x9cfc098a6cc15b0cull);
   EXPECT_GT(report.crashes, 0u);
 }
 
@@ -143,6 +157,7 @@ TEST(ChaosDirected, JoinFlashCrowd) {
   const auto cfg = directed_config(107, single_phase(107, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0x708358464623089eull);
   EXPECT_EQ(report.joins, 8u);
 }
 
@@ -152,6 +167,7 @@ TEST(ChaosDirected, StaleHelloDelivery) {
   const auto cfg = directed_config(108, single_phase(108, phase));
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0x37b457dc4bef6ac5ull);
 }
 
 // --- Mid-storm lookups and the deliberate-regression canary -------------------
@@ -163,6 +179,7 @@ TEST(ChaosStorm, LookupsDuringCrashStormSurviveWithRetry) {
   cfg.storm_lookups = 40;
   const auto report = run_chaos(cfg);
   expect_clean(report, cfg);
+  expect_digest(report, 0xd5784432febaf6b0ull);
   EXPECT_GT(report.storm_issued, 0u);
 }
 

@@ -59,6 +59,14 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// Behaviour pin: FNV-1a of the whole preset report, so any change to what
+/// the run does (not only to its verdict) fails loudly.
+void expect_digest(const ScenarioReport& report, std::uint64_t pinned) {
+  const std::uint64_t digest = fnv1a(report.to_json().dump(0));
+  EXPECT_EQ(digest, pinned) << report.scenario << " report digest 0x"
+                            << std::hex << digest;
+}
+
 TEST(ScenarioDormancy, PaperScaleDigestUnchangedWithScenarioLayerLinked) {
   // Touch the scenario layer so the linker cannot discard it, but run the
   // stock experiment without it.
@@ -89,6 +97,7 @@ TEST(ScenarioSwarm, CompletesThroughTrackerCrashWithZeroMustFailures) {
   // The swarm actually downloads: every leecher x piece lookup succeeds
   // against its FNV-1a piece hash or the run is not clean above.
   EXPECT_GT(report.availability, 0.99);
+  expect_digest(report, 0x7b0c08230175eef6ull);
 }
 
 TEST(ScenarioSwarm, DisablingTrackerReannounceIsCaughtAndShrinks) {
@@ -134,6 +143,7 @@ TEST(ScenarioHotKey, CacheBoundsMaxPeerLoadUnderKeyChurn) {
   // rotation across surrogates (the ablation's 520 -> 38 claim, now under
   // key churn and a crash storm).
   EXPECT_LT(cached.max_peer_load, 100u) << cached.to_json().dump(2);
+  expect_digest(cached, 0xe1ff4d7f718ef97full);
 
   // DisablingCacheIsCaught-style canary: the identical storm with the cache
   // off must melt the hottest holder, or the bound above is vacuous.
@@ -141,6 +151,7 @@ TEST(ScenarioHotKey, CacheBoundsMaxPeerLoadUnderKeyChurn) {
   EXPECT_GT(uncached.max_peer_load, 4 * cached.max_peer_load)
       << "cache off no longer concentrates load; the cached bound asserts "
          "nothing";
+  expect_digest(uncached, 0xb346119fed80448dull);
 }
 
 TEST(ScenarioFlashCrowd, CrowdJoinsAbsorbedCleanly) {
@@ -149,6 +160,7 @@ TEST(ScenarioFlashCrowd, CrowdJoinsAbsorbedCleanly) {
   EXPECT_EQ(report.joins, FlashCrowdWorkload{}.burst_joins);
   EXPECT_GT(report.lookups_issued, 0u);
   EXPECT_GT(report.availability, 0.95);
+  expect_digest(report, 0xfc394e17c48944feull);
 }
 
 TEST(ScenarioDiurnal, FullDayCurveSurvivesCrashStorm) {
@@ -159,6 +171,7 @@ TEST(ScenarioDiurnal, FullDayCurveSurvivesCrashStorm) {
   EXPECT_GT(report.leaves, 0u);
   EXPECT_GT(report.stores, 0u);
   EXPECT_GT(report.availability, 0.8);
+  expect_digest(report, 0x5321c32a21d776b9ull);
 }
 
 TEST(ScenarioComposition, ChaosUnderCompositeWorkloadStaysClean) {

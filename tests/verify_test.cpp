@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "common/hashing.hpp"
 #include "sim/simulator.hpp"
 #include "verify/choice_trace.hpp"
 #include "verify/explorer.hpp"
@@ -100,6 +101,9 @@ TEST(Scenario, FifoRunIsCleanAndDeterministic) {
   EXPECT_TRUE(a.clean()) << a.dump();
   EXPECT_EQ(a.dump(), b.dump());
   EXPECT_GT(a.events_executed, 0u);
+  // Behaviour pin: FNV-1a of the canonical outcome dump.
+  EXPECT_EQ(fnv1a64(a.dump()), 0x064339381d885b1dull)
+      << "outcome digest 0x" << std::hex << fnv1a64(a.dump());
 }
 
 TEST(Scenario, EmptyTraceReplaysTheFifoRun) {
