@@ -9,8 +9,11 @@
 //
 // Prints one row of every metric the paper reports, plus a CSV line for
 // scripting.
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "exp/harness.hpp"
@@ -45,15 +48,19 @@ void usage(const char* argv0) {
 }
 
 bool parse_double(const char* s, double& out) {
+  if (s == nullptr) return false;
   char* end = nullptr;
   out = std::strtod(s, &end);
-  return end != nullptr && *end == '\0';
+  return end != s && *end == '\0';
 }
 
+/// Digits only: strtoull alone would accept "-3" and wrap it to 2^64 - 3.
 bool parse_u64(const char* s, std::uint64_t& out) {
+  if (s == nullptr || *s < '0' || *s > '9') return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtoull(s, &end, 10);
-  return end != nullptr && *end == '\0';
+  return *end == '\0' && errno != ERANGE;
 }
 
 }  // namespace
@@ -76,7 +83,8 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
-    } else if (arg == "--peers" && parse_u64(next(), u)) {
+    } else if (arg == "--peers" && parse_u64(next(), u) &&
+               u <= 0xffffffffu) {
       cfg.num_peers = static_cast<std::uint32_t>(u);
     } else if (arg == "--ps" && parse_double(next(), d)) {
       cfg.hybrid.ps = d;
@@ -145,7 +153,13 @@ int main(int argc, char** argv) {
               cfg.num_peers, cfg.hybrid.ps, cfg.hybrid.delta, cfg.hybrid.ttl,
               cfg.num_items, cfg.num_lookups,
               static_cast<unsigned long long>(cfg.seed));
-  const auto r = exp::run_hybrid_experiment(cfg);
+  exp::RunResult r;
+  try {
+    r = exp::run_hybrid_experiment(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sweep_cli: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("\n  joins completed      %zu (mean %.1f ms, %.1f hops)\n",
               r.joins_completed, r.join_latency_ms.mean(),

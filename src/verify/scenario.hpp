@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos/judge.hpp"
 #include "hybrid/params.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -67,7 +68,7 @@ struct ScenarioOutcome {
   bool aborted = false;  // policy pruned the run before the horizon
   std::uint64_t state_hash = 0;
   std::uint64_t events_executed = 0;
-  std::vector<std::string> violations;
+  std::vector<chaos::Violation> violations;
 
   [[nodiscard]] bool clean() const { return violations.empty(); }
   /// Canonical serialization for byte-identical replay assertions.

@@ -95,7 +95,7 @@ struct ScenarioReport {
   double mean_peer_load = 0.0;
   double load_skew = 0.0;  // max / mean (0 when nothing was served)
   std::uint64_t cache_hits = 0;
-  std::vector<chaos::ChaosViolation> violations;
+  std::vector<chaos::Violation> violations;
 
   [[nodiscard]] bool clean() const { return violations.empty(); }
   [[nodiscard]] stats::JsonValue to_json() const;
