@@ -1,8 +1,7 @@
 #include "exp/baselines.hpp"
 
 #include "common/rng.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
+#include "exp/world.hpp"
 #include "workload/workload.hpp"
 
 namespace hp2p::exp {
@@ -22,10 +21,7 @@ RunResult run_chord_experiment(const ChordRunConfig& raw_config) {
   Rng build_rng = rng.fork(2);
   Rng op_rng = rng.fork(3);
 
-  const auto ts_params =
-      net::TransitStubParams::for_total_nodes(config.num_peers);
-  net::Underlay underlay{net::generate_transit_stub(ts_params, topo_rng),
-                         topo_rng};
+  const net::Underlay underlay = make_underlay(config.num_peers, topo_rng);
   sim::Simulator sim;
   proto::OverlayNetwork network{sim, underlay};
   chord::ChordNetwork chord{network, config.chord};
@@ -118,10 +114,7 @@ RunResult run_gnutella_experiment(const GnutellaRunConfig& raw_config) {
   Rng build_rng = rng.fork(2);
   Rng op_rng = rng.fork(3);
 
-  const auto ts_params =
-      net::TransitStubParams::for_total_nodes(config.num_peers);
-  net::Underlay underlay{net::generate_transit_stub(ts_params, topo_rng),
-                         topo_rng};
+  const net::Underlay underlay = make_underlay(config.num_peers, topo_rng);
   sim::Simulator sim;
   proto::OverlayNetwork network{sim, underlay};
   gnutella::GnutellaNetwork g{network, config.gnutella};
