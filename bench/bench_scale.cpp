@@ -11,6 +11,9 @@
 //   ./bench_scale                     # 1k / 5k / 20k ladder, laptop-fast
 //   HP2P_PEERS=100000 ./bench_scale   # the 100k-peer soak
 //
+// Each rung's events/sec is the median of eleven identical runs: the perf
+// gate's N=1,000 rung lasts only ~60 ms, too short to time once.
+//
 // Workload per rung: ~1% t-peers (ps = 0.99) with finger routing and a
 // t-peers-first build -- the regime Section 4 argues for at scale, where
 // ring state stays O(log N_t) and the s-networks absorb the mass.  Items
@@ -26,7 +29,7 @@
 #include "common/proc_stats.hpp"
 #include "common/rng.hpp"
 #include "exp/metrics_collect.hpp"
-#include "net/transit_stub.hpp"
+#include "exp/world.hpp"
 #include "net/underlay.hpp"
 #include "stats/table.hpp"
 
@@ -53,13 +56,26 @@ struct UnderlayFootprint {
 /// stream) to report the routing mode and table footprint; RunResult does
 /// not carry the underlay itself.
 UnderlayFootprint underlay_footprint(std::uint64_t seed, std::uint32_t peers) {
-  Rng rng{seed};
-  Rng topo_rng = rng.fork(1);
-  const auto params = net::TransitStubParams::for_total_nodes(peers + 1);
-  net::Underlay underlay{net::generate_transit_stub(params, topo_rng),
-                         topo_rng};
+  Rng topo_rng = Rng{seed}.fork(1);
+  const net::Underlay underlay = exp::make_underlay(peers + 1, topo_rng);
   return {underlay.routing_mode(), underlay.routing_memory_bytes(),
           underlay.num_hosts()};
+}
+
+constexpr std::size_t kTimingReps = 11;
+
+double total_wall_ms(const exp::RunResult& r) {
+  double wall_ms = 0;
+  for (const auto& phase : r.phases) wall_ms += phase.wall_ms;
+  return wall_ms;
+}
+
+double events_per_sec_of(const exp::RunResult& r) {
+  const double wall_ms = total_wall_ms(r);
+  return wall_ms > 0
+             ? static_cast<double>(r.sim_stats.events_executed) * 1000.0 /
+                   wall_ms
+             : 0;
 }
 
 exp::RunConfig rung_config(const bench::Scale& scale, std::uint32_t peers) {
@@ -115,17 +131,19 @@ int main() {
       cfg.sample_period = sim::SimTime::seconds(1);
     }
     const auto r = exp::run_hybrid_experiment(cfg);
-
-    double wall_ms = 0;
+    const double wall_ms = total_wall_ms(r);
     double sim_ms = 0;
-    for (const auto& phase : r.phases) {
-      wall_ms += phase.wall_ms;
-      sim_ms += phase.sim_ms;
+    for (const auto& phase : r.phases) sim_ms += phase.sim_ms;
+    // events/sec is the median over kTimingReps identical runs (the first
+    // is the reported one), so a single noisy ~60 ms rung on a shared host
+    // cannot trip the perf gate.  A profiled rung is timed once: its rate
+    // measures the profiler anyway.
+    std::vector<double> rates{events_per_sec_of(r)};
+    while (!profile_rung && rates.size() < kTimingReps) {
+      rates.push_back(events_per_sec_of(exp::run_hybrid_experiment(cfg)));
     }
-    const double events_per_sec =
-        wall_ms > 0
-            ? static_cast<double>(r.sim_stats.events_executed) * 1000.0 / wall_ms
-            : 0;
+    std::sort(rates.begin(), rates.end());
+    const double events_per_sec = rates[rates.size() / 2];
     const std::uint64_t peak_rss = peak_rss_bytes();
     const double bytes_per_peer =
         static_cast<double>(peak_rss) / static_cast<double>(peers);
