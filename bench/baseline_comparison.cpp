@@ -4,6 +4,7 @@
 // (Section 1: "neither ... can provide efficient, flexible, and robust
 // service alone").
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "exp/baselines.hpp"
@@ -65,14 +66,18 @@ int main() {
     add_row("gnutella (flood TTL=5)", "gnutella",
             exp::run_gnutella_experiment(cfg));
   }
+  std::vector<exp::RunConfig> cells;
   for (double ps : {0.5, 0.7}) {
-    auto cfg = bench::base_config(scale, 0);
+    auto& cfg = cells.emplace_back(bench::base_config(scale));
     cfg.hybrid.ps = ps;
     cfg.hybrid.ttl = 6;
-    const auto r = exp::run_hybrid_experiment(cfg);
+  }
+  const auto runs = bench::sweep(cells, 1, [](const auto& r) { return r; });
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const double ps = cells[i].hybrid.ps;
     const std::string name = "hybrid (p_s=" + stats::format_fixed(ps, 1) + ")";
     const std::string key = "hybrid_ps_" + bench::metric_num(ps);
-    add_row(name.c_str(), key.c_str(), r);
+    add_row(name.c_str(), key.c_str(), runs[i][0]);
   }
   table.print(std::cout);
   reporter.add_table("baseline_comparison", table);

@@ -79,7 +79,7 @@ double events_per_sec_of(const exp::RunResult& r) {
 }
 
 exp::RunConfig rung_config(const bench::Scale& scale, std::uint32_t peers) {
-  auto cfg = bench::base_config(scale, 0);
+  auto cfg = bench::base_config(scale);
   cfg.num_peers = peers;
   if (env_or("HP2P_ITEMS", std::int64_t{0}) == 0) {
     cfg.num_items = std::max<std::size_t>(1000, peers / 20);

@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/env.hpp"
 #include "exp/harness.hpp"
@@ -48,6 +49,9 @@ struct Scale {
         static_cast<std::size_t>(env_count("HP2P_LOOKUPS", 1000, kMaxCount));
     s.replicas =
         static_cast<std::size_t>(env_count("HP2P_REPLICAS", 1, kMaxCount));
+    if (s.replicas == 0) {
+      throw std::invalid_argument{"HP2P_REPLICAS=0: expected at least 1"};
+    }
     s.seed = static_cast<std::uint64_t>(env_or("HP2P_SEED", std::int64_t{42}));
     return s;
   } catch (const std::invalid_argument& e) {
@@ -69,15 +73,57 @@ struct Scale {
   return env_or("HP2P_PROFILE", std::int64_t{0}) != 0;
 }
 
-[[nodiscard]] inline exp::RunConfig base_config(const Scale& s,
-                                                std::size_t replica = 0) {
+[[nodiscard]] inline exp::RunConfig base_config(const Scale& s) {
   exp::RunConfig c;
-  c.seed = s.seed + replica * 1000003;
+  c.seed = s.seed;
   c.num_peers = s.peers;
   c.num_items = s.items;
   c.num_lookups = s.lookups;
   c.hybrid.delta = 3;  // as in the paper's simulations
   return c;
+}
+
+/// The grid 0, 0.1, ..., `last` (p_s, crash fraction), built by repeated
+/// `x += 0.1` so every value is bit-identical across the benches.
+[[nodiscard]] inline std::vector<double> tenths(double last) {
+  std::vector<double> xs;
+  for (double x = 0.0; x <= last + 0.001; x += 0.1) xs.push_back(x);
+  return xs;
+}
+
+/// The one way a bench runs its grid: every cell config runs `replicas`
+/// times (replica r gets seed + r * 1000003) through exp::parallel_map, and
+/// `extract` reduces each RunResult on its worker.  Returns out[cell][r] in
+/// config order, so the output never depends on thread scheduling.  A
+/// config exp::validate() rejects exits 2 naming the knob.
+template <typename Extract>
+[[nodiscard]] auto sweep(const std::vector<exp::RunConfig>& cells,
+                         std::size_t replicas, Extract extract) {
+  std::vector<exp::RunConfig> runs;
+  for (const exp::RunConfig& cell : cells) {
+    // Observers are per-run state that a second thread would race on.
+    if (cell.tracer != nullptr || cell.profiler != nullptr ||
+        cell.flight != nullptr) {
+      throw std::logic_error{"bench::sweep: observed runs must run alone"};
+    }
+    for (std::size_t r = 0; r < replicas; ++r) {
+      runs.push_back(cell);
+      runs.back().seed = cell.seed + r * 1000003;
+    }
+  }
+  try {
+    auto flat = exp::parallel_map(runs, [&](const exp::RunConfig& c) {
+      return extract(exp::run_hybrid_experiment(c));
+    });
+    std::vector<decltype(flat)> out(cells.size());
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+      out[i / replicas].push_back(std::move(flat[i]));
+    }
+    return out;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 inline void print_header(const char* figure, const char* claim,
@@ -102,16 +148,6 @@ inline void print_header(const char* figure, const char* claim,
     if (c == '.') c = 'p';
   }
   return s;
-}
-
-/// Mean of a metric across replicas of the same configuration.
-template <typename Fn>
-[[nodiscard]] double replicate_mean(const Scale& s, Fn make_and_measure) {
-  double total = 0;
-  for (std::size_t r = 0; r < s.replicas; ++r) {
-    total += make_and_measure(r);
-  }
-  return total / static_cast<double>(s.replicas);
 }
 
 /// Machine-readable run report, written next to the ASCII output as

@@ -3,6 +3,7 @@
 // degree constraints -- plus a simulated join-latency series to check that
 // the simulator reproduces the model's shape.
 #include <cstdio>
+#include <vector>
 
 #include "analysis/model.hpp"
 #include "bench_util.hpp"
@@ -75,15 +76,20 @@ int main() {
       "Fig. 3a check -- simulated average join hops vs Eq. (1) shape",
       "simulation matches the theoretic analysis (Section 6)", scale);
   {
-    stats::Table table{{"p_s", "simulated_join_hops", "model_join_hops"}};
+    std::vector<exp::RunConfig> cells;
     for (double ps : {0.0, 0.2, 0.4, 0.6, 0.8, 0.9}) {
-      const double sim_hops = bench::replicate_mean(scale, [&](std::size_t r) {
-        auto cfg = bench::base_config(scale, r);
-        cfg.hybrid.ps = ps;
-        cfg.num_items = 0;
-        cfg.num_lookups = 0;
-        return exp::run_hybrid_experiment(cfg).join_hops.mean();
-      });
+      auto& cfg = cells.emplace_back(bench::base_config(scale));
+      cfg.hybrid.ps = ps;
+      cfg.num_items = 0;
+      cfg.num_lookups = 0;
+    }
+    const auto runs = bench::sweep(cells, scale.replicas, [](const auto& r) {
+      return r.join_hops.mean();
+    });
+    stats::Table table{{"p_s", "simulated_join_hops", "model_join_hops"}};
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const double ps = cells[i].hybrid.ps;
+      const double sim_hops = exp::mean_of(runs[i]);
       analysis::ModelParams p;
       p.n = scale.peers;
       p.ps = ps;
@@ -112,7 +118,7 @@ int main() {
         "Traced replica -- causal spans, critical path, gauge samples",
         "observability pass; see EXPERIMENTS.md 'Tracing a lookup'", scale);
     stats::SpanRecorder recorder;
-    auto cfg = bench::base_config(scale, 0);
+    auto cfg = bench::base_config(scale);
     cfg.hybrid.ps = 0.8;
     cfg.tracer = &recorder;
     cfg.sample_period = sim::SimTime::millis(250);
@@ -140,7 +146,7 @@ int main() {
         "Profiled replica -- per-component CPU/alloc attribution",
         "observability pass; see README 'Profiling a run'", scale);
     stats::Profiler profiler;
-    auto cfg = bench::base_config(scale, 0);
+    auto cfg = bench::base_config(scale);
     cfg.hybrid.ps = 0.8;
     cfg.profiler = &profiler;
     cfg.sample_period = sim::SimTime::millis(250);

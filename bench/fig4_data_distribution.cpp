@@ -6,6 +6,8 @@
 // items.  Scheme 2 ("random spread") hands items down the s-network and
 // keeps the distribution tight.
 #include <cstdio>
+#include <span>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "stats/histogram.hpp"
@@ -15,20 +17,20 @@ using namespace hp2p;
 
 namespace {
 
-void run_scheme(const bench::Scale& scale, hybrid::PlacementScheme scheme,
-                const char* label, bench::Reporter& reporter,
-                const char* metric_prefix) {
+const double kPsValues[] = {0.0, 0.4, 0.9};
+
+/// One row per p_s in kPsValues; runs[i] holds cell i's items-per-peer.
+void report_scheme(const bench::Scale& scale,
+                   std::span<const std::vector<std::vector<std::size_t>>> runs,
+                   const char* label, bench::Reporter& reporter,
+                   const char* metric_prefix) {
   stats::Table table{{"p_s", "empty_frac", "p50", "p90", "max",
                       "mean_items"}};
-  for (double ps : {0.0, 0.4, 0.9}) {
-    stats::CountDistribution dist;
-    for (std::size_t r = 0; r < scale.replicas; ++r) {
-      auto cfg = bench::base_config(scale, r);
-      cfg.hybrid.ps = ps;
-      cfg.hybrid.placement = scheme;
-      cfg.num_lookups = 0;
-      const auto result = exp::run_hybrid_experiment(cfg);
-      for (const auto n : result.items_per_peer) dist.add(n);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const double ps = kPsValues[i];
+    stats::CountDistribution dist;  // every replica of the cell pooled
+    for (const auto& items_per_peer : runs[i]) {
+      for (const auto n : items_per_peer) dist.add(n);
     }
     // Percentiles from the exact integer distribution.
     std::uint64_t p50 = 0;
@@ -57,15 +59,10 @@ void run_scheme(const bench::Scale& scale, hybrid::PlacementScheme scheme,
   reporter.add_table(metric_prefix, table);
 }
 
-void print_pdf(const bench::Scale& scale, double ps,
-               hybrid::PlacementScheme scheme, const char* label) {
+void print_pdf(const std::vector<std::size_t>& items_per_peer, double ps,
+               const char* label) {
   stats::CountDistribution dist;
-  auto cfg = bench::base_config(scale, 0);
-  cfg.hybrid.ps = ps;
-  cfg.hybrid.placement = scheme;
-  cfg.num_lookups = 0;
-  const auto result = exp::run_hybrid_experiment(cfg);
-  for (const auto n : result.items_per_peer) dist.add(n);
+  for (const auto n : items_per_peer) dist.add(n);
   std::printf("\npdf, %s, p_s=%.1f (bin -> mass):\n", label, ps);
   for (const auto& bin : dist.to_pdf(10)) {
     std::printf("  [%5.0f, %5.0f): %.4f %s\n", bin.lo, bin.hi, bin.mass,
@@ -85,15 +82,26 @@ int main() {
       "scheme 2: empty fraction collapses (paper: 12%), load evens out",
       scale);
 
-  run_scheme(scale, hybrid::PlacementScheme::kTPeerStores,
-             "scheme 1 (t-peer stores)", reporter, "scheme1_tpeer_stores");
-  run_scheme(scale, hybrid::PlacementScheme::kRandomSpread,
-             "scheme 2 (random spread)", reporter, "scheme2_random_spread");
+  std::vector<exp::RunConfig> cells;
+  for (auto scheme : {hybrid::PlacementScheme::kTPeerStores,
+                      hybrid::PlacementScheme::kRandomSpread}) {
+    for (double ps : kPsValues) {
+      auto& cfg = cells.emplace_back(bench::base_config(scale));
+      cfg.hybrid.ps = ps;
+      cfg.hybrid.placement = scheme;
+      cfg.num_lookups = 0;
+    }
+  }
+  const auto runs = bench::sweep(cells, scale.replicas, [](const auto& r) {
+    return r.items_per_peer;
+  });
+  report_scheme(scale, {runs.data(), 3}, "scheme 1 (t-peer stores)", reporter,
+                "scheme1_tpeer_stores");
+  report_scheme(scale, {runs.data() + 3, 3}, "scheme 2 (random spread)",
+                reporter, "scheme2_random_spread");
 
-  // Full pdfs for the p_s = 0.9 panels (Fig. 4c vs 4f).
-  print_pdf(scale, 0.9, hybrid::PlacementScheme::kTPeerStores,
-            "scheme 1 (Fig. 4c)");
-  print_pdf(scale, 0.9, hybrid::PlacementScheme::kRandomSpread,
-            "scheme 2 (Fig. 4f)");
+  // Full pdfs of replica 0 for the p_s = 0.9 panels (Fig. 4c vs 4f).
+  print_pdf(runs[2][0], 0.9, "scheme 1 (Fig. 4c)");
+  print_pdf(runs[5][0], 0.9, "scheme 2 (Fig. 4f)");
   return reporter.write() ? 0 : 1;
 }

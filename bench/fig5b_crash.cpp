@@ -4,7 +4,9 @@
 // Paper shape: failure ratio grows linearly with the crashed fraction, and
 // is essentially independent of p_s (the improved placement scheme spreads
 // data evenly, so each crashed peer takes a proportional bite).
+#include <array>
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "stats/table.hpp"
@@ -20,66 +22,73 @@ int main() {
       "(scheme-2 placement spreads the loss)",
       scale);
 
-  const double ps_values[] = {0.4, 0.7, 0.9};
+  // One sweep: the figure's crashed x p_s cells, then the durability
+  // companion's crashed x replication-factor cells at p_s = 0.7.
+  std::vector<exp::RunConfig> cells;
+  const auto add = [&](double crashed, double ps, unsigned r_factor) {
+    auto& cfg = cells.emplace_back(bench::base_config(scale));
+    cfg.hybrid.ps = ps;
+    cfg.hybrid.ttl = 6;
+    cfg.crash_fraction = crashed;
+    cfg.recovery_time = sim::SimTime::seconds(25);
+    cfg.hybrid.hello_interval = sim::SimTime::millis(1000);
+    cfg.hybrid.hello_timeout = sim::SimTime::millis(3000);
+    cfg.hybrid.replication_factor = r_factor;
+  };
+  for (double crashed : bench::tenths(0.5)) {
+    for (double ps : {0.4, 0.7, 0.9}) add(crashed, ps, 1);
+  }
+  const std::size_t durability = cells.size();
+  for (double crashed : bench::tenths(0.5)) {
+    for (unsigned r_factor : {1u, 2u, 3u}) add(crashed, 0.7, r_factor);
+  }
+  enum Field { kFailure, kService, kAvailability };
+  const auto runs = bench::sweep(cells, scale.replicas, [](const auto& r) {
+    const double failure = r.lookups.failure_ratio();
+    return std::array{failure, 1.0 - failure, r.data_availability()};
+  });
+  // Replica mean of one field of a cell, summed in replica order.
+  const auto mean = [&](std::size_t cell, Field field) {
+    std::vector<double> xs;
+    for (const auto& run : runs[cell]) xs.push_back(run[field]);
+    return exp::mean_of(xs);
+  };
+
   stats::Table table{{"crashed", "p_s=0.4", "p_s=0.7", "p_s=0.9"}};
-  for (double crashed = 0.0; crashed <= 0.501; crashed += 0.1) {
-    table.row().cell(crashed, 1);
-    for (double ps : ps_values) {
-      const double ratio = bench::replicate_mean(scale, [&](std::size_t r) {
-        auto cfg = bench::base_config(scale, r);
-        cfg.hybrid.ps = ps;
-        cfg.hybrid.ttl = 6;
-        cfg.crash_fraction = crashed;
-        cfg.recovery_time = sim::SimTime::seconds(25);
-        cfg.hybrid.hello_interval = sim::SimTime::millis(1000);
-        cfg.hybrid.hello_timeout = sim::SimTime::millis(3000);
-        return exp::run_hybrid_experiment(cfg).lookups.failure_ratio();
-      });
-      table.cell(ratio, 4);
-      reporter.metrics().set("failure_ratio.crashed_" +
-                                 bench::metric_num(crashed) + ".ps_" +
-                                 bench::metric_num(ps),
-                             ratio);
-    }
+  for (std::size_t i = 0; i < durability; ++i) {
+    const auto& c = cells[i];
+    if (i % 3 == 0) table.row().cell(c.crash_fraction, 1);
+    const double ratio = mean(i, kFailure);
+    table.cell(ratio, 4);
+    reporter.metrics().set("failure_ratio.crashed_" +
+                               bench::metric_num(c.crash_fraction) + ".ps_" +
+                               bench::metric_num(c.hybrid.ps),
+                           ratio);
   }
   table.print(std::cout);
   reporter.add_table("fig5b_crash_failure_ratio", table);
 
-  // Durability companion: the same crash storm at p_s = 0.7 with the
-  // replication factor swept.  Data availability is the fraction of stored
-  // ids some live peer still holds after recovery; service availability is
+  // Durability companion: data availability is the fraction of stored ids
+  // some live peer still holds after recovery; service availability is
   // the lookup success ratio.  Expectation: both monotone in r.
   std::printf("\nData durability vs replication factor (p_s = 0.7)\n");
   stats::Table dtable{{"crashed", "avail r=1", "avail r=2", "avail r=3",
                        "service r=1", "service r=2", "service r=3"}};
-  for (double crashed = 0.0; crashed <= 0.501; crashed += 0.1) {
-    dtable.row().cell(crashed, 1);
-    double avail[3] = {0, 0, 0};
-    double service[3] = {0, 0, 0};
-    for (std::size_t ri = 0; ri < 3; ++ri) {
-      const unsigned r_factor = static_cast<unsigned>(ri) + 1;
-      for (std::size_t rep = 0; rep < scale.replicas; ++rep) {
-        auto cfg = bench::base_config(scale, rep);
-        cfg.hybrid.ps = 0.7;
-        cfg.hybrid.ttl = 6;
-        cfg.crash_fraction = crashed;
-        cfg.recovery_time = sim::SimTime::seconds(25);
-        cfg.hybrid.hello_interval = sim::SimTime::millis(1000);
-        cfg.hybrid.hello_timeout = sim::SimTime::millis(3000);
-        cfg.hybrid.replication_factor = r_factor;
-        const auto res = exp::run_hybrid_experiment(cfg);
-        avail[ri] += res.data_availability();
-        service[ri] += 1.0 - res.lookups.failure_ratio();
-      }
-      avail[ri] /= static_cast<double>(scale.replicas);
-      service[ri] /= static_cast<double>(scale.replicas);
-      const std::string suffix = "crashed_" + bench::metric_num(crashed) +
-                                 ".r_" + std::to_string(r_factor);
-      reporter.metrics().set("data_availability." + suffix, avail[ri]);
-      reporter.metrics().set("service_availability." + suffix, service[ri]);
+  for (std::size_t row = durability; row < cells.size(); row += 3) {
+    dtable.row().cell(cells[row].crash_fraction, 1);
+    for (std::size_t i = row; i < row + 3; ++i) {
+      dtable.cell(mean(i, kAvailability), 4);
     }
-    for (const double a : avail) dtable.cell(a, 4);
-    for (const double s : service) dtable.cell(s, 4);
+    for (std::size_t i = row; i < row + 3; ++i) {
+      dtable.cell(mean(i, kService), 4);
+      const std::string suffix =
+          "crashed_" + bench::metric_num(cells[i].crash_fraction) + ".r_" +
+          std::to_string(cells[i].hybrid.replication_factor);
+      reporter.metrics().set("data_availability." + suffix,
+                             mean(i, kAvailability));
+      reporter.metrics().set("service_availability." + suffix,
+                             mean(i, kService));
+    }
   }
   dtable.print(std::cout);
   reporter.add_table("fig5b_crash_durability", dtable);

@@ -24,22 +24,26 @@ int main() {
       "p_s=0.7",
       scale);
 
+  std::vector<exp::RunConfig> cells;
+  for (double ps : bench::tenths(0.9)) {
+    for (bool aware : {false, true}) {
+      auto& cfg = cells.emplace_back(bench::base_config(scale));
+      cfg.hybrid.ps = ps;
+      cfg.hybrid.ttl = 6;
+      cfg.model_transmission_delay = true;
+      cfg.capacity_sorted_roles = aware;
+      cfg.hybrid.link_usage_connect = aware;
+    }
+  }
+  const auto runs = bench::sweep(cells, scale.replicas, [](const auto& r) {
+    return r.lookup_latency_ms.mean();
+  });
   stats::Table table{
       {"p_s", "basic_ms", "heterogeneity_aware_ms", "improvement"}};
-  for (double ps = 0.0; ps <= 0.901; ps += 0.1) {
-    auto measure = [&](bool aware) {
-      return bench::replicate_mean(scale, [&](std::size_t r) {
-        auto cfg = bench::base_config(scale, r);
-        cfg.hybrid.ps = ps;
-        cfg.hybrid.ttl = 6;
-        cfg.model_transmission_delay = true;
-        cfg.capacity_sorted_roles = aware;
-        cfg.hybrid.link_usage_connect = aware;
-        return exp::run_hybrid_experiment(cfg).lookup_latency_ms.mean();
-      });
-    };
-    const double basic = measure(false);
-    const double aware = measure(true);
+  for (std::size_t i = 0; i < cells.size(); i += 2) {
+    const double ps = cells[i].hybrid.ps;
+    const double basic = exp::mean_of(runs[i]);
+    const double aware = exp::mean_of(runs[i + 1]);
     table.row().cell(ps, 1).cell(basic, 1).cell(aware, 1).cell(
         basic > 0 ? (basic - aware) / basic : 0.0, 3);
     const std::string base = "lookup_latency_ms.ps_" + bench::metric_num(ps);
@@ -53,26 +57,29 @@ int main() {
   // traffic than s-peers, so fast hosts belong on the t-network.
   std::printf("\nper-role traffic (messages handled per peer, basic "
               "config):\n");
-  stats::Table load{{"p_s", "t-peer_traffic", "s-peer_traffic", "ratio"}};
+  std::vector<exp::RunConfig> load_cells;
   for (double ps : {0.3, 0.6, 0.9}) {
-    auto cfg = bench::base_config(scale, 0);
+    auto& cfg = load_cells.emplace_back(bench::base_config(scale));
     cfg.hybrid.ps = ps;
     cfg.hybrid.ttl = 6;
     cfg.model_transmission_delay = true;
-    const auto r = exp::run_hybrid_experiment(cfg);
+  }
+  const auto load_runs =
+      bench::sweep(load_cells, 1, [](const auto& r) { return r; });
+  stats::Table load{{"p_s", "t-peer_traffic", "s-peer_traffic", "ratio"}};
+  for (std::size_t i = 0; i < load_cells.size(); ++i) {
+    const exp::RunResult& r = load_runs[i][0];
     load.row()
-        .cell(ps, 1)
+        .cell(load_cells[i].hybrid.ps, 1)
         .cell(r.mean_tpeer_traffic, 0)
         .cell(r.mean_speer_traffic, 0)
         .cell(r.mean_speer_traffic > 0
                   ? r.mean_tpeer_traffic / r.mean_speer_traffic
                   : 0.0,
               1);
-    // Full metric tree for the heaviest configuration, as a load anchor.
-    if (ps == 0.9) {
-      exp::collect_run_result(reporter.metrics(), "run_ps_0p9", r);
-    }
   }
+  // Full metric tree for the heaviest configuration, as a load anchor.
+  exp::collect_run_result(reporter.metrics(), "run_ps_0p9", load_runs[2][0]);
   load.print(std::cout);
   reporter.add_table("fig6a_per_role_traffic", load);
   return reporter.write() ? 0 : 1;

@@ -21,25 +21,30 @@ int main() {
       "merge near p_s=0.9",
       scale);
 
+  std::vector<exp::RunConfig> cells;
+  for (double ps : bench::tenths(0.9)) {
+    // Basic (default landmark count, unread), then 8 and 12 landmarks.
+    for (unsigned landmarks : {0u, 8u, 12u}) {
+      auto& cfg = cells.emplace_back(bench::base_config(scale));
+      cfg.hybrid.ps = ps;
+      cfg.hybrid.ttl = 6;
+      // Finger routing on the t-network: clustering improves the
+      // *intra-s-network* hops (cp chain, flood), which a ~N_t/2-hop
+      // ring walk would completely drown out.
+      cfg.hybrid.t_routing = hybrid::TRouting::kFinger;
+      cfg.hybrid.topology_aware = landmarks != 0;
+      if (landmarks != 0) cfg.hybrid.num_landmarks = landmarks;
+    }
+  }
+  const auto runs = bench::sweep(cells, scale.replicas, [](const auto& r) {
+    return r.lookup_latency_ms.mean();
+  });
   stats::Table table{{"p_s", "basic_ms", "aware_8lm_ms", "aware_12lm_ms"}};
-  for (double ps = 0.0; ps <= 0.901; ps += 0.1) {
-    auto measure = [&](bool aware, unsigned landmarks) {
-      return bench::replicate_mean(scale, [&](std::size_t r) {
-        auto cfg = bench::base_config(scale, r);
-        cfg.hybrid.ps = ps;
-        cfg.hybrid.ttl = 6;
-        // Finger routing on the t-network: clustering improves the
-        // *intra-s-network* hops (cp chain, flood), which a ~N_t/2-hop
-        // ring walk would completely drown out.
-        cfg.hybrid.t_routing = hybrid::TRouting::kFinger;
-        cfg.hybrid.topology_aware = aware;
-        cfg.hybrid.num_landmarks = landmarks;
-        return exp::run_hybrid_experiment(cfg).lookup_latency_ms.mean();
-      });
-    };
-    const double basic = measure(false, 0);
-    const double aware8 = measure(true, 8);
-    const double aware12 = measure(true, 12);
+  for (std::size_t i = 0; i < cells.size(); i += 3) {
+    const double ps = cells[i].hybrid.ps;
+    const double basic = exp::mean_of(runs[i]);
+    const double aware8 = exp::mean_of(runs[i + 1]);
+    const double aware12 = exp::mean_of(runs[i + 2]);
     table.row().cell(ps, 1).cell(basic, 1).cell(aware8, 1).cell(aware12, 1);
     const std::string base = "lookup_latency_ms.ps_" + bench::metric_num(ps);
     reporter.metrics().set(base + ".basic", basic);

@@ -22,22 +22,26 @@ int main() {
       "TTL-sensitive above",
       scale);
 
-  const unsigned ttls[] = {1, 2, 4};
-  stats::Table table{{"p_s", "TTL=1", "TTL=2", "TTL=4"}};
-  for (double ps = 0.0; ps <= 0.901; ps += 0.1) {
-    table.row().cell(ps, 1);
-    for (unsigned ttl : ttls) {
-      const double connum = bench::replicate_mean(scale, [&](std::size_t r) {
-        auto cfg = bench::base_config(scale, r);
-        cfg.hybrid.ps = ps;
-        cfg.hybrid.ttl = ttl;
-        return static_cast<double>(exp::run_hybrid_experiment(cfg).connum());
-      });
-      table.cell(static_cast<std::uint64_t>(connum));
-      reporter.metrics().set("connum.ps_" + bench::metric_num(ps) + ".ttl_" +
-                                 std::to_string(ttl),
-                             connum);
+  std::vector<exp::RunConfig> cells;
+  for (double ps : bench::tenths(0.9)) {
+    for (unsigned ttl : {1u, 2u, 4u}) {
+      auto& cfg = cells.emplace_back(bench::base_config(scale));
+      cfg.hybrid.ps = ps;
+      cfg.hybrid.ttl = ttl;
     }
+  }
+  const auto runs = bench::sweep(cells, scale.replicas, [](const auto& r) {
+    return static_cast<double>(r.connum());
+  });
+  stats::Table table{{"p_s", "TTL=1", "TTL=2", "TTL=4"}};
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& h = cells[i].hybrid;
+    if (h.ttl == 1) table.row().cell(h.ps, 1);
+    const double connum = exp::mean_of(runs[i]);
+    table.cell(static_cast<std::uint64_t>(connum));
+    reporter.metrics().set("connum.ps_" + bench::metric_num(h.ps) + ".ttl_" +
+                               std::to_string(h.ttl),
+                           connum);
   }
   table.print(std::cout);
   table.print_csv(std::cout);

@@ -11,7 +11,9 @@
 
 #include "common/env.hpp"
 #include "exp/harness.hpp"
+#include "exp/metrics_collect.hpp"
 #include "exp/world.hpp"
+#include "stats/metrics.hpp"
 
 namespace hp2p::exp {
 namespace {
@@ -127,15 +129,55 @@ TEST(Harness, LinkStressTrackedWhenEnabled) {
   EXPECT_GT(r.max_link_stress, 0u);
 }
 
+/// The full metric export of one run, minus the host wall-clock phase
+/// timings (the only host-dependent field of a RunResult).
+std::string run_dump(RunResult r) {
+  for (PhaseTiming& t : r.phases) t.wall_ms = 0;
+  stats::MetricsRegistry reg;
+  collect_run_result(reg, "", r);
+  return reg.to_json().dump();
+}
+
 TEST(Harness, ParallelMapMatchesSequential) {
+  // One input per feature the paper benches now sweep in parallel.
   std::vector<RunConfig> configs;
-  for (int i = 0; i < 4; ++i) configs.push_back(small_config(20 + static_cast<std::uint64_t>(i), 0.5));
+  for (int i = 0; i < 2; ++i) {
+    configs.push_back(small_config(20 + static_cast<std::uint64_t>(i), 0.5));
+  }
+  auto crash = small_config(22, 0.7);  // Fig. 5b: crash, detect, recover
+  crash.hybrid.ttl = 6;
+  crash.crash_fraction = 0.2;
+  crash.recovery_time = sim::SimTime::seconds(25);
+  crash.hybrid.hello_interval = sim::SimTime::millis(1000);
+  crash.hybrid.hello_timeout = sim::SimTime::millis(3000);
+  crash.hybrid.replication_factor = 2;
+  configs.push_back(crash);
+  auto topology = small_config(23, 0.8);  // Sec. 5.2 + link stress
+  topology.hybrid.t_routing = hybrid::TRouting::kFinger;
+  topology.hybrid.topology_aware = true;
+  topology.hybrid.num_landmarks = 8;
+  topology.track_link_stress = true;
+  topology.failure_detection = true;
+  topology.recovery_time = sim::SimTime::seconds(10);
+  configs.push_back(topology);
+  auto caching = small_config(24, 0.7);  // Sec. 7 caching, Zipf targets
+  caching.hybrid.enable_caching = true;
+  caching.hybrid.cache_capacity = 8;
+  caching.zipf_exponent = 1.2;
+  caching.op_spacing = sim::SimTime::millis(50);
+  configs.push_back(caching);
+  auto hetero = small_config(25, 0.6);  // Fig. 6a: capacity-aware roles
+  hetero.model_transmission_delay = true;
+  hetero.capacity_sorted_roles = true;
+  hetero.hybrid.link_usage_connect = true;
+  configs.push_back(hetero);
+
   const auto parallel = parallel_map(
       configs, [](const RunConfig& c) { return run_hybrid_experiment(c); }, 4);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto seq = run_hybrid_experiment(configs[i]);
-    EXPECT_EQ(parallel[i].connum(), seq.connum()) << "replica " << i;
-    EXPECT_EQ(parallel[i].network.messages_sent, seq.network.messages_sent);
+    EXPECT_EQ(run_dump(parallel[i]),
+              run_dump(run_hybrid_experiment(configs[i])))
+        << "config " << i;
   }
 }
 
