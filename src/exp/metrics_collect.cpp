@@ -85,10 +85,10 @@ void collect_run_result(stats::MetricsRegistry& reg, const std::string& prefix,
   reg.collect_summary(joined(prefix, "lookup_latency_ms"),
                       r.lookup_latency_ms);
   reg.collect_summary(joined(prefix, "lookup_hops"), r.lookup_hops);
+  // Simulated phase time only: host wall time (PhaseTiming::wall_ms) stays
+  // out of the tree, so a tree is a pure function of (config, seed).
   for (const PhaseTiming& t : r.phases) {
-    const std::string base = joined(prefix, "phase") + "." + t.name;
-    reg.set(base + ".wall_ms", t.wall_ms);
-    reg.set(base + ".sim_ms", t.sim_ms);
+    reg.set(joined(prefix, "phase") + "." + t.name + ".sim_ms", t.sim_ms);
   }
   reg.set(joined(prefix, "num_tpeers"),
           static_cast<std::uint64_t>(r.num_tpeers));

@@ -118,30 +118,41 @@ void HybridSystem::forward_up_to_tpeer(
     std::function<void(PeerIndex, std::uint32_t)> at_root,
     std::uint32_t hops, std::function<void()> on_dead,
     stats::TraceContext ctx) {
+  if (peer(at).role == Role::kTPeer) {
+    at_root(at, hops);  // already at the root: nothing to box
+    return;
+  }
+  climb_step(at, hops,
+             std::make_shared<ClimbTrip>(ClimbTrip{bytes, cls, ctx,
+                                                   std::move(at_root),
+                                                   std::move(on_dead)}));
+}
+
+void HybridSystem::climb_step(PeerIndex at, std::uint32_t hops,
+                              const std::shared_ptr<ClimbTrip>& trip) {
   Peer& p = peer(at);
   if (p.role == Role::kTPeer) {
-    at_root(at, hops);
+    trip->at_root(at, hops);
     return;
   }
   const PeerIndex next = p.cp != kNoPeer ? p.cp : p.tpeer;
   if (next == kNoPeer) {
     // Detached orphan: there is no upward path, so the request can never
     // reach the t-network.  Tell the caller now instead of going silent.
-    net_.note_drop(at, proto::DropReason::kNoRoute, cls, ctx);
-    if (on_dead) on_dead();
+    net_.note_drop(at, proto::DropReason::kNoRoute, trip->cls, trip->ctx);
+    if (trip->on_dead) trip->on_dead();
     return;
   }
-  net_.send(at, next, cls, bytes, ctx,
-            [this, next, bytes, cls, at_root = std::move(at_root), hops, ctx,
-             on_dead = std::move(on_dead)]() mutable {
-              if (tracer_ != nullptr && ctx.valid()) {
-                tracer_->instant(ctx, "climb_hop", next.value(), sim_.now(),
-                                 "hop", hops + 1);
-              }
-              // A delivery runs once, so the continuations move on.
-              forward_up_to_tpeer(next, bytes, cls, std::move(at_root),
-                                  hops + 1, std::move(on_dead), ctx);
-            });
+  auto hop = [this, next, hops, trip] {
+    if (tracer_ != nullptr && trip->ctx.valid()) {
+      tracer_->instant(trip->ctx, "climb_hop", next.value(), sim_.now(),
+                       "hop", hops + 1);
+    }
+    climb_step(next, hops + 1, trip);
+  };
+  static_assert(proto::OverlayNetwork::Delivery::stores_inline<decltype(hop)>,
+                "a climb hop must not heap-allocate its delivery closure");
+  net_.send(at, next, trip->cls, trip->bytes, trip->ctx, std::move(hop));
 }
 
 void HybridSystem::route_ring(
@@ -192,44 +203,76 @@ void HybridSystem::ring_forward(PeerIndex at, std::uint32_t hops,
     net_.note_drop(at, proto::DropReason::kNoRoute, trip->cls, trip->ctx);
     return;
   }
-  auto delivered = std::make_shared<bool>(false);
-  auto hop = [this, next, hops, contacted, trip, delivered] {
-    *delivered = true;
-    if (tracer_ != nullptr && trip->ctx.valid()) {
-      tracer_->instant(trip->ctx, "ring_hop", next.value(), sim_.now(), "hop",
-                       hops + 1);
-    }
-    ring_step(next, hops + 1, contacted + 1, trip);
-  };
-  static_assert(proto::OverlayNetwork::Delivery::stores_inline<decltype(hop)>,
-                "a ring hop must not heap-allocate its delivery closure");
-  net_.send(at, next, trip->cls, trip->bytes, trip->ctx, std::move(hop));
-  if (params_.ring_retry_limit == 0 || attempt >= params_.ring_retry_limit) {
+  if (attempt >= params_.ring_retry_limit) {
+    // Out of retries (or retries off): nothing to do if this hop is lost.
+    net_.send(at, next, trip->cls, trip->bytes, trip->ctx,
+              [this, next, hops, contacted, trip] {
+                ring_hop(next, hops, contacted, trip);
+              });
     return;
   }
-  // Retry watchdog: the hop is lost iff the receiver dies while the message
-  // is in flight (delivery closures of dead receivers never run).  After a
-  // conservative 2x hop RTT plus backoff, re-resolve the next hop -- our
-  // successor pointer may have been repaired to the crash heir meanwhile --
-  // and forward again.  On healthy hops the watchdog fires as a no-op.
+  // The retry deadline: a conservative 2x hop RTT plus capped exponential
+  // backoff.  Its sequence number is reserved now, so a retry scheduled
+  // later breaks ties exactly as one armed at send time would.
   sim::Duration backoff = params_.ring_retry_base;
   for (unsigned i = 0; i < attempt && backoff < params_.ring_retry_cap; ++i) {
     backoff += backoff;
   }
   if (params_.ring_retry_cap < backoff) backoff = params_.ring_retry_cap;
-  const sim::Duration wait = net_.hop_latency(at, next, trip->bytes) +
-                             net_.hop_latency(at, next, trip->bytes) + backoff;
-  auto watchdog = [this, at, hops, contacted, trip = std::move(trip),
-                   delivered = std::move(delivered), attempt] {
-    if (*delivered) return;
+  const sim::Duration latency = net_.hop_latency(at, next, trip->bytes);
+  const sim::SimTime deadline = sim_.now() + (latency + latency + backoff);
+  const std::uint64_t seq = sim_.reserve_seq();
+  auto hop = [this, at, next, hops, contacted, trip, attempt, deadline,
+              seq](bool delivered) {
+    if (delivered) {
+      ring_hop(next, hops, contacted, trip);
+    } else if (sim_.now() <= deadline) {
+      // The receiver died with the message in flight.
+      arm_ring_retry(at, hops, contacted, trip, attempt, deadline, seq);
+    }
+    // (A dead receiver past the deadline: the retry was armed at send.)
+  };
+  static_assert(
+      proto::OverlayNetwork::FateDelivery::stores_inline<decltype(hop)>,
+      "a ring hop must not heap-allocate its delivery closure");
+  const sim::SimTime arrival = net_.send_with_fate(
+      at, next, trip->cls, trip->bytes, trip->ctx, std::move(hop));
+  // Dropped at send (never()), or due after the deadline (a latency storm):
+  // the hop's fate is unknown at the deadline, so the retry is armed now and
+  // a late original still arrives as a duplicate forward.
+  if (arrival > deadline) {
+    arm_ring_retry(at, hops, contacted, std::move(trip), attempt, deadline,
+                   seq);
+  }
+}
+
+void HybridSystem::ring_hop(PeerIndex next, std::uint32_t hops,
+                            std::uint32_t contacted,
+                            const std::shared_ptr<RingTrip>& trip) {
+  if (tracer_ != nullptr && trip->ctx.valid()) {
+    tracer_->instant(trip->ctx, "ring_hop", next.value(), sim_.now(), "hop",
+                     hops + 1);
+  }
+  ring_step(next, hops + 1, contacted + 1, trip);
+}
+
+void HybridSystem::arm_ring_retry(PeerIndex at, std::uint32_t hops,
+                                  std::uint32_t contacted,
+                                  std::shared_ptr<RingTrip> trip,
+                                  unsigned attempt, sim::SimTime deadline,
+                                  std::uint64_t seq) {
+  // Re-resolve the next hop -- our successor pointer may have been repaired
+  // to the crash heir meanwhile -- and forward again, unless this t-peer
+  // has itself crashed or left the ring by then.
+  auto retry = [this, at, hops, contacted, trip = std::move(trip), attempt] {
     if (!net_.alive(at)) return;
     const Peer& h = peer(at);
     if (!h.joined || h.role != Role::kTPeer) return;
     ring_forward(at, hops, contacted, trip, attempt + 1);
   };
-  static_assert(sim::Simulator::Action::stores_inline<decltype(watchdog)>,
-                "a ring retry watchdog must not heap-allocate");
-  sim_.schedule_after(wait, std::move(watchdog));
+  static_assert(sim::Simulator::Action::stores_inline<decltype(retry)>,
+                "a ring retry must not heap-allocate");
+  sim_.schedule_reserved(deadline, seq, std::move(retry));
 }
 
 void HybridSystem::place_item(PeerIndex at, proto::DataItem item,

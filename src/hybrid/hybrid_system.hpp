@@ -468,10 +468,25 @@ class HybridSystem {
                            std::uint32_t hops,
                            std::function<void()> on_dead = {},
                            stats::TraceContext ctx = {});
+  /// Everything about one cp-chain climb that stays fixed from hop to hop.
+  /// forward_up_to_tpeer boxes it once (only when a hop is needed); every
+  /// hop's delivery shares it, so a hop's closure fits the transport's
+  /// inline buffer and allocates nothing.
+  struct ClimbTrip {
+    std::uint32_t bytes;
+    proto::TrafficClass cls;
+    stats::TraceContext ctx;
+    std::function<void(PeerIndex, std::uint32_t)> at_root;
+    std::function<void()> on_dead;
+  };
+  /// The climb arriving at `at`: runs `at_root` at a t-peer, `on_dead` at
+  /// a detached orphan, or forwards one hop up the cp chain.
+  void climb_step(PeerIndex at, std::uint32_t hops,
+                  const std::shared_ptr<ClimbTrip>& trip);
   /// Everything about one t-network trip that stays fixed from hop to hop.
-  /// route_ring creates it once; every hop's delivery and every retry
-  /// watchdog share the same instance, so a hop costs O(1) whatever the
-  /// trip length.
+  /// route_ring creates it once; every hop's delivery and every lost-hop
+  /// retry share the same instance, so a hop costs O(1) whatever the trip
+  /// length.
   struct RingTrip {
     std::uint64_t target;
     proto::TrafficClass cls;
@@ -497,11 +512,22 @@ class HybridSystem {
   void ring_step(PeerIndex at, std::uint32_t hops, std::uint32_t contacted,
                  const std::shared_ptr<RingTrip>& trip);
   /// One ring hop with retry: sends to the next hop and, while
-  /// params_.ring_retry_limit allows, re-resolves and resends after
-  /// 2x hop latency + capped exponential backoff if the hop was never
-  /// delivered (receiver crashed with the message in flight).
+  /// params_.ring_retry_limit allows, re-resolves and resends at send time
+  /// + 2x hop latency + capped exponential backoff if the hop is lost.  A
+  /// delivered hop schedules nothing.  The retry is armed only on a loss:
+  /// when the receiver turns out dead at delivery, or right at send when
+  /// the message was dropped there or is due after the deadline.
   void ring_forward(PeerIndex at, std::uint32_t hops, std::uint32_t contacted,
                     std::shared_ptr<RingTrip> trip, unsigned attempt);
+  /// A delivered ring hop: traces it and continues the trip at `next`.
+  void ring_hop(PeerIndex next, std::uint32_t hops, std::uint32_t contacted,
+                const std::shared_ptr<RingTrip>& trip);
+  /// Schedules ring_forward's retry of a lost hop from `at` at `deadline`,
+  /// under the sequence number reserved when the hop was sent.
+  void arm_ring_retry(PeerIndex at, std::uint32_t hops,
+                      std::uint32_t contacted, std::shared_ptr<RingTrip> trip,
+                      unsigned attempt, sim::SimTime deadline,
+                      std::uint64_t seq);
   void place_item(PeerIndex at, proto::DataItem item, StoreCallback done);
   void spread_item(PeerIndex at, proto::DataItem item, StoreCallback done);
   /// Routes `item` from `from` to the responsible t-peer's s-network

@@ -101,12 +101,14 @@ struct HybridParams {
   /// local-segment miss.
   bool reflood_on_timeout = false;
 
-  /// Ring-forwarding retry: when a hop has not been delivered after
-  /// 2x the hop latency plus backoff, the forwarding t-peer re-resolves the
-  /// next hop (against its possibly repaired pointers) and resends.  Covers
-  /// hops addressed at t-peers that crash while the message is in flight.
-  /// 0 disables the retry entirely (the chaos regression tests rely on
-  /// this to prove the directed crash-storm schedule catches its absence).
+  /// Ring-forwarding retry: when a hop is lost -- its receiver crashed while
+  /// the message was in flight, or the message was dropped at send -- the
+  /// forwarding t-peer re-resolves the next hop (against its possibly
+  /// repaired pointers) and resends at send time + 2x the hop latency +
+  /// backoff.  A hop due after that deadline (a latency storm) is resent
+  /// then too.  A delivered hop costs no timer.  0 disables the retry
+  /// entirely (the chaos regression tests rely on this to prove the
+  /// directed crash-storm schedule catches its absence).
   unsigned ring_retry_limit = 2;
   /// First retry backoff; doubles per attempt up to ring_retry_cap.
   sim::Duration ring_retry_base = sim::SimTime::millis(500);

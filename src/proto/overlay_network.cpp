@@ -1,5 +1,6 @@
 #include "proto/overlay_network.hpp"
 
+#include <type_traits>
 #include <utility>
 
 #include "stats/profiler.hpp"
@@ -62,6 +63,23 @@ sim::SimTime OverlayNetwork::hop_latency(PeerIndex from, PeerIndex to,
 void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
                           std::uint32_t bytes, stats::TraceContext ctx,
                           Delivery deliver) {
+  send_impl(from, to, cls, bytes, ctx, std::move(deliver));
+}
+
+sim::SimTime OverlayNetwork::send_with_fate(PeerIndex from, PeerIndex to,
+                                            TrafficClass cls,
+                                            std::uint32_t bytes,
+                                            stats::TraceContext ctx,
+                                            FateDelivery deliver) {
+  return send_impl(from, to, cls, bytes, ctx, std::move(deliver));
+}
+
+template <typename Deliver>
+sim::SimTime OverlayNetwork::send_impl(PeerIndex from, PeerIndex to,
+                                       TrafficClass cls, std::uint32_t bytes,
+                                       stats::TraceContext ctx,
+                                       Deliver deliver) {
+  constexpr bool kFated = std::is_same_v<Deliver, FateDelivery>;
   using Kind = NetTraceEvent::Kind;
   if (!alive(from)) {
     ++stats_.messages_dropped;
@@ -70,7 +88,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
     if (spans_ != nullptr && ctx.valid()) {
       spans_->instant(ctx, "drop:dead_sender", from.value(), simulator_.now());
     }
-    return;
+    return sim::SimTime::never();
   }
   sim::Duration fault_delay{};
   bool fault_drop = false;
@@ -88,7 +106,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
       spans_->instant(ctx, "drop:loss", from.value(), simulator_.now(), "to",
                       to.value());
     }
-    return;
+    return sim::SimTime::never();
   }
   ++stats_.messages_sent;
   ++stats_.messages_in_flight;
@@ -122,8 +140,9 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
       simulator_, cls == TrafficClass::kControl
                       ? sim::Footprint::wild()
                       : sim::Footprint::on({from.value(), to.value()})};
-  simulator_.schedule_after(
-      delay, [this, from, to, cls, bytes, msg_span,
+  const sim::SimTime arrival = simulator_.now() + delay;
+  simulator_.schedule_at(
+      arrival, [this, from, to, cls, bytes, msg_span,
               deliver = std::move(deliver)]() mutable {
         --stats_.messages_in_flight;
         if (!alive(to)) {
@@ -135,6 +154,7 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
             spans_->add_arg(msg_span, "dropped_dead_receiver", 1);
             spans_->end_span(msg_span, simulator_.now());
           }
+          if constexpr (kFated) deliver(false);
           return;
         }
         ++stats_.messages_delivered;
@@ -147,8 +167,13 @@ void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
         if (spans_ != nullptr && msg_span.valid()) {
           spans_->end_span(msg_span, simulator_.now());
         }
-        deliver();
+        if constexpr (kFated) {
+          deliver(true);
+        } else {
+          deliver();
+        }
       });
+  return arrival;
 }
 
 void OverlayNetwork::note_drop(PeerIndex at, DropReason reason,

@@ -152,6 +152,9 @@ class OverlayNetwork {
   /// still work, they just heap-allocate (see InlineFunction).
   static constexpr std::size_t kDeliveryCapacity = 80;
   using Delivery = InlineFunction<void(), kDeliveryCapacity>;
+  /// Continuation told the message's fate: true when delivered, false when
+  /// the receiver was dead at delivery time.
+  using FateDelivery = InlineFunction<void(bool delivered), kDeliveryCapacity>;
 
   OverlayNetwork(sim::Simulator& simulator, const net::Underlay& underlay,
                  OverlayNetworkOptions options = {});
@@ -197,6 +200,16 @@ class OverlayNetwork {
   /// with its fate on drop/loss).
   void send(PeerIndex from, PeerIndex to, TrafficClass cls,
             std::uint32_t bytes, stats::TraceContext ctx, Delivery deliver);
+
+  /// Traced send whose continuation runs whatever the message's fate at
+  /// delivery time: `deliver(true)` on delivery, `deliver(false)` when the
+  /// receiver was dead by then.  Returns the scheduled delivery time, or
+  /// never() when the message was dropped at send (dead sender, random loss
+  /// or a fault-hook drop) and `deliver` will not run at all.  Lets a
+  /// protocol react to a lost message without a timer per message.
+  sim::SimTime send_with_fate(PeerIndex from, PeerIndex to, TrafficClass cls,
+                              std::uint32_t bytes, stats::TraceContext ctx,
+                              FateDelivery deliver);
 
   /// Protocol-level drop report (TTL exhausted, no route): bumps the
   /// per-reason counter, emits a NetTraceEvent, and -- when traced --
@@ -246,13 +259,21 @@ class OverlayNetwork {
                                             TrafficClass cls,
                                             std::uint32_t bytes)>;
   /// Installs (or, with an empty function, removes) the fault hook consulted
-  /// on every live-sender send, after the random-loss roll.  A `drop`
-  /// verdict is indistinguishable from random loss in every counter and
-  /// trace record, so the conservation law the auditor checks still holds;
+  /// on every live-sender send, before the random-loss roll; a `drop`
+  /// verdict skips that roll, so it draws nothing from the loss stream.  A
+  /// drop is indistinguishable from random loss in every counter and trace
+  /// record, so the conservation law the auditor checks still holds;
   /// `extra_delay` is added to the hop latency of that one message.
   void set_fault(FaultFn fn) { fault_ = std::move(fn); }
 
  private:
+  /// The one body behind send() and send_with_fate(); `Deliver` is Delivery
+  /// or FateDelivery.
+  template <typename Deliver>
+  sim::SimTime send_impl(PeerIndex from, PeerIndex to, TrafficClass cls,
+                         std::uint32_t bytes, stats::TraceContext ctx,
+                         Deliver deliver);
+
   sim::Simulator& simulator_;
   const net::Underlay& underlay_;
   OverlayNetworkOptions options_;

@@ -24,9 +24,9 @@ const char* component_name(Component c) {
   return "invalid";
 }
 
-TimerId Simulator::schedule_at(SimTime when, Action action) {
+TimerId Simulator::schedule_reserved(SimTime when, std::uint64_t seq,
+                                     Action action) {
   if (when < now_) when = now_;  // never schedule into the past
-  const std::uint64_t seq = next_seq_++;
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();

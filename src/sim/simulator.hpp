@@ -2,8 +2,8 @@
 //
 // Substitutes for the NS2 scheduler the paper ran on: a single-threaded,
 // deterministic event loop.  Events at equal timestamps execute in the order
-// they were scheduled (a monotone sequence number breaks ties), so a run is
-// a pure function of (parameters, seed).
+// their sequence numbers were taken -- at scheduling, or earlier through
+// reserve_seq() -- so a run is a pure function of (parameters, seed).
 //
 // Cancellation is lazy: cancel() frees the slot and the queue skips the
 // corpse on pop, which keeps schedule/cancel O(log n) without heap surgery.
@@ -22,6 +22,7 @@
 #include <functional>
 #include <initializer_list>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/inline_function.hpp"
@@ -40,7 +41,7 @@ class TimerId {
   friend class Simulator;
   constexpr explicit TimerId(std::uint64_t seq, std::uint32_t slot)
       : seq_(seq), slot_(slot) {}
-  std::uint64_t seq_{0};   // 0 = null handle; monotone, unique per event
+  std::uint64_t seq_{0};   // 0 = null handle; unique per event
   std::uint32_t slot_{0};  // arena slot the event occupies (O(1) cancel)
 };
 
@@ -183,7 +184,22 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `action` at absolute time `when`; clamps to now() if earlier.
-  TimerId schedule_at(SimTime when, Action action);
+  TimerId schedule_at(SimTime when, Action action) {
+    return schedule_reserved(when, reserve_seq(), std::move(action));
+  }
+
+  /// Takes the next sequence number without scheduling anything.  A caller
+  /// that may or may not need an event later (a retry armed only when a
+  /// message is lost) reserves its tie-break position now and hands the
+  /// number to schedule_reserved() if and when it schedules; an unused
+  /// reservation is simply never scheduled.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules `action` at `when` (clamped to now() if earlier) under a
+  /// sequence number taken earlier from reserve_seq(), so it breaks ties
+  /// exactly as an event scheduled at reservation time would have.  Each
+  /// reservation may be scheduled at most once.
+  TimerId schedule_reserved(SimTime when, std::uint64_t seq, Action action);
 
   /// Schedules `action` `delay` after now.
   TimerId schedule_after(Duration delay, Action action) {

@@ -1,6 +1,6 @@
 // MetricsRegistry: a single named-metric tree for everything a run
 // measures.  Producers register values under dotted paths
-// ("net.query.messages", "phase.lookup.wall_ms"); consumers serialize the
+// ("net.query.messages", "phase.lookup.sim_ms"); consumers serialize the
 // whole registry as one nested JSON object or read individual entries back.
 //
 // The registry is the glue between the counter structs scattered through

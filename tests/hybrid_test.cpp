@@ -1467,8 +1467,9 @@ TEST(Hybrid, CacheEntriesExpire) {
 // --- Successor-routed ring trips ------------------------------------------------
 
 /// A successor-only ring of 112 t-peers (ps 0.2 over 140 peers) with
-/// caching and bypass links on and the default ring retry watchdog, plus a
-/// key owned by the t-peer half-way round the ring from `from`.
+/// caching and bypass links on (unless `p` says otherwise) and the default
+/// ring retry, plus a key owned by the t-peer half-way round the ring from
+/// `from`.
 struct LongRingTrip {
   static HybridParams params() {
     auto p = defaults();
@@ -1479,7 +1480,7 @@ struct LongRingTrip {
     return p;
   }
 
-  LongRingTrip() : f{91, params()} {
+  explicit LongRingTrip(const HybridParams& p = params()) : f{91, p} {
     f.build(140);
     from = f.peers[0];  // the ring's seed t-peer
     // Walk the successor pointers: the trip's route, hop by hop.
@@ -1488,16 +1489,22 @@ struct LongRingTrip {
       route.push_back(f.system.successor_of(route.back()));
     }
     owner = route.back();
-    for (std::size_t i = 0; key.empty(); ++i) {
-      const std::string k = "ring-key-" + std::to_string(i);
-      if (f.system.owner_tpeer(hash_key(k)) == owner) key = k;
+    key = store_key_at(owner);
+  }
+
+  /// Stores a fresh key owned by t-peer `at` from `at` itself (a local
+  /// insert: no ring trip, no bypass link) and returns it.
+  std::string store_key_at(PeerIndex at) {
+    std::string k;
+    for (std::size_t i = 0; k.empty(); ++i) {
+      const std::string candidate = "ring-key-" + std::to_string(i);
+      if (f.system.owner_tpeer(hash_key(candidate)) == at) k = candidate;
     }
-    // Stored from the owner itself: a local insert, no ring trip and no
-    // bypass link.
     bool stored = false;
-    f.system.store(owner, key, 42, [&] { stored = true; });
+    f.system.store(at, k, 42, [&] { stored = true; });
     f.world.sim.run();
     EXPECT_TRUE(stored);
+    return k;
   }
 
   [[nodiscard]] std::uint32_t ring_hops() const {
@@ -1507,8 +1514,12 @@ struct LongRingTrip {
   /// Runs one lookup of `key` from `requester` to quiescence; returns every
   /// result its callback delivered.
   std::vector<proto::LookupResult> lookup_from(PeerIndex requester) {
+    return lookup_from(requester, key);
+  }
+  std::vector<proto::LookupResult> lookup_from(PeerIndex requester,
+                                               const std::string& k) {
     std::vector<proto::LookupResult> results;
-    f.system.lookup(requester, key,
+    f.system.lookup(requester, k,
                     [&](proto::LookupResult r) { results.push_back(r); });
     f.world.sim.run();
     return results;
@@ -1568,14 +1579,272 @@ TEST(Hybrid, RingHopHeapAllocationsStayConstant) {
   const std::uint64_t allocs = alloc_stats::allocation_count() - before;
   ASSERT_EQ(res.size(), 1u);
   ASSERT_EQ(res[0].request_hops, t.ring_hops());
-  // The trip's continuations are boxed once, not per hop.  What remains per
-  // hop is the watchdog's delivery flag and the query's visited-set insert
-  // (plus the set's amortised rehashes), about two; re-boxing the
-  // continuations at every hop costs about seven in all.
+  // The trip's continuations are boxed once, not per hop, and a delivered
+  // hop arms no retry.  What remains per hop is the caching intercept's
+  // visited-set insert (plus the set's amortised rehashes), about one;
+  // re-boxing the continuations at every hop costs about seven in all, and
+  // a retry timer with a heap-allocated delivery flag on every hop about
+  // two.
   const double per_hop =
       static_cast<double>(allocs) / static_cast<double>(t.ring_hops());
   EXPECT_LT(per_hop, 3.0) << allocs << " allocations over " << t.ring_hops()
                           << " ring hops";
+  EXPECT_LT(per_hop, 1.5) << allocs << " allocations over " << t.ring_hops()
+                          << " ring hops";
+}
+
+TEST(Hybrid, DeliveredRingHopAllocatesNothing) {
+  // Without caching there is no per-hop intercept, so a trip's allocations
+  // are the same whatever its length: a delivered hop allocates nothing.
+  auto params = LongRingTrip::params();
+  params.enable_caching = false;
+  params.bypass_links = false;
+  LongRingTrip t{params};
+  const PeerIndex near = t.route[t.route.size() / 4];
+  const std::string near_key = t.store_key_at(near);
+  ASSERT_EQ(t.lookup_from(t.from).size(), 1u);  // warm the containers
+
+  const auto allocs_of = [&](const std::string& k, std::uint32_t& hops) {
+    const std::uint64_t before = alloc_stats::allocation_count();
+    const auto res = t.lookup_from(t.from, k);
+    const std::uint64_t allocs = alloc_stats::allocation_count() - before;
+    EXPECT_EQ(res.size(), 1u);
+    EXPECT_TRUE(!res.empty() && res[0].success);
+    hops = res.empty() ? 0 : res[0].request_hops;
+    return allocs;
+  };
+  std::uint32_t far_hops = 0;
+  std::uint32_t near_hops = 0;
+  const std::uint64_t far_allocs = allocs_of(t.key, far_hops);
+  const std::uint64_t near_allocs = allocs_of(near_key, near_hops);
+  ASSERT_EQ(far_hops, t.ring_hops());
+  ASSERT_EQ(near_hops, t.route.size() / 4);
+  EXPECT_EQ(far_allocs, near_allocs)
+      << far_hops - near_hops << " extra ring hops cost "
+      << static_cast<std::int64_t>(far_allocs - near_allocs)
+      << " extra allocations";
+}
+
+// --- The lost-hop ring retry ----------------------------------------------------
+
+TEST(Hybrid, DeliveredRingHopCostsOneEvent) {
+  LongRingTrip t;
+  const sim::Simulator& sim = t.f.world.sim;
+  const proto::NetworkStats& net = t.f.world.network->stats();
+  const std::uint64_t events = sim.stats().events_executed;
+  const std::uint64_t delivered = net.messages_delivered;
+  const std::uint64_t dropped = net.messages_dropped;
+  const auto res = t.lookup_from(t.from);
+  ASSERT_EQ(res.size(), 1u);
+  ASSERT_TRUE(res[0].success);
+  ASSERT_EQ(res[0].request_hops, t.ring_hops());
+  EXPECT_EQ(net.messages_dropped, dropped);
+  // One event per delivered message (each ring hop and the reply) plus the
+  // lookup's own timers: the re-route timer, which fires at
+  // lookup_timeout / 2 and finds the lookup done.  The timeout timer was
+  // cancelled when the answer came.  No hop left an event behind.
+  EXPECT_EQ(sim.stats().events_executed - events,
+            net.messages_delivered - delivered + 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+/// A LongRingTrip lookup whose first hop (the seed t-peer to its successor
+/// `next`) a test disturbs: the hop's latency, its first retry deadline, and
+/// the simulated time of every query message on it, by its fate.
+struct FirstRingHop {
+  FirstRingHop()
+      : sim(t.f.world.sim),
+        net(*t.f.world.network),
+        next(t.route[1]),
+        t0(sim.now()),
+        lat(net.hop_latency(t.from, next, proto::kQueryBytes)),
+        backoff(t.f.system.params().ring_retry_base),
+        deadline(t0 + lat + lat + backoff) {
+    net.set_trace([this](const proto::NetTraceEvent& ev) {
+      using Kind = proto::NetTraceEvent::Kind;
+      if (ev.from != t.from || ev.to != next ||
+          ev.cls != proto::TrafficClass::kQuery) {
+        return;
+      }
+      switch (ev.kind) {
+        case Kind::kSend: sent.push_back(sim.now()); break;
+        case Kind::kLoss: lost.push_back(sim.now()); break;
+        case Kind::kDropDeadReceiver: dropped.push_back(sim.now()); break;
+        case Kind::kDeliver: delivered.push_back(sim.now()); break;
+        default: break;
+      }
+    });
+  }
+
+  /// Applies `action` to the first query message sent on the hop.
+  void fault_first_message(proto::FaultAction action) {
+    net.set_fault([this, action, armed = true](
+                      PeerIndex a, PeerIndex b, proto::TrafficClass cls,
+                      std::uint32_t) mutable {
+      if (armed && a == t.from && b == next &&
+          cls == proto::TrafficClass::kQuery) {
+        armed = false;
+        return action;
+      }
+      return proto::FaultAction{};
+    });
+  }
+
+  /// Issues the lookup (its first hop leaves at t0) without running the
+  /// simulation, so a test can disturb the hop in flight.
+  void issue() {
+    t.f.system.lookup(t.from, t.key,
+                      [this](proto::LookupResult r) { results.push_back(r); });
+  }
+
+  /// The lookup ran once and found the key at the owner.
+  void expect_found() const {
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].success);
+    EXPECT_EQ(results[0].found_at, t.owner);
+  }
+
+  LongRingTrip t;
+  sim::Simulator& sim;
+  proto::OverlayNetwork& net;
+  const PeerIndex next;
+  const sim::SimTime t0;
+  const sim::Duration lat;
+  const sim::Duration backoff;
+  const sim::SimTime deadline;
+  std::vector<sim::SimTime> sent;       // left the sender
+  std::vector<sim::SimTime> lost;       // dropped at send (loss or fault)
+  std::vector<sim::SimTime> dropped;    // receiver dead at delivery
+  std::vector<sim::SimTime> delivered;  // handed to the receiver
+  std::vector<proto::LookupResult> results;
+};
+
+using Times = std::vector<sim::SimTime>;
+
+TEST(Hybrid, RingHopLostToDeadReceiverIsResentAtItsDeadline) {
+  FirstRingHop h;
+  h.issue();
+  // The next hop goes down with the query in flight, so the transport
+  // drops it at delivery, and comes back before the retry deadline.
+  h.net.set_alive(h.next, false);
+  h.sim.schedule_at(h.t0 + h.lat + sim::SimTime::millis(100),
+                    [&h] { h.net.set_alive(h.next, true); });
+  h.sim.run();
+
+  EXPECT_EQ(h.sent, (Times{h.t0, h.deadline}));
+  EXPECT_EQ(h.dropped, (Times{h.t0 + h.lat}));
+  EXPECT_EQ(h.delivered, (Times{h.deadline + h.lat}));
+  h.expect_found();
+  EXPECT_EQ(h.results[0].request_hops, h.t.ring_hops());
+}
+
+TEST(Hybrid, RingHopDroppedAtSendIsResentAtItsDeadline) {
+  FirstRingHop h;
+  h.fault_first_message({.drop = true});
+  h.issue();
+  h.sim.run();
+
+  EXPECT_EQ(h.lost, (Times{h.t0}));
+  EXPECT_EQ(h.sent, (Times{h.deadline}));
+  EXPECT_EQ(h.delivered, (Times{h.deadline + h.lat}));
+  h.expect_found();
+  EXPECT_EQ(h.results[0].request_hops, h.t.ring_hops());
+}
+
+TEST(Hybrid, RingHopDueAfterItsDeadlineIsResentAndStillDelivered) {
+  FirstRingHop h;
+  // A latency storm: the first message arrives 100 ms after the deadline.
+  const sim::Duration extra = h.lat + h.backoff + sim::SimTime::millis(100);
+  h.fault_first_message({.extra_delay = extra});
+  const std::uint64_t past_received =
+      h.net.messages_received_by(h.t.route[2]);
+  h.issue();
+  h.sim.run();
+
+  // The retry fires at the deadline although the original is still in
+  // flight; the late original is delivered too, and both copies travel on.
+  EXPECT_EQ(h.sent, (Times{h.t0, h.deadline}));
+  EXPECT_EQ(h.delivered, (Times{h.deadline + h.lat, h.t0 + h.lat + extra}));
+  EXPECT_EQ(h.net.messages_received_by(h.t.route[2]), past_received + 2);
+  h.expect_found();
+}
+
+TEST(Hybrid, LateRingHopToADeadReceiverArmsNoSecondRetry) {
+  FirstRingHop h;
+  // The first message is due a second after its deadline, and by then its
+  // receiver is down: the retry armed at send already covered this loss,
+  // so the drop must not arm another.
+  const sim::Duration extra = h.lat + h.backoff + sim::SimTime::seconds(1);
+  h.fault_first_message({.extra_delay = extra});
+  h.sim.schedule_at(h.deadline + h.lat + sim::SimTime::millis(1),
+                    [&h] { h.net.set_alive(h.next, false); });
+  h.sim.schedule_at(h.t0 + h.lat + extra + sim::SimTime::millis(1),
+                    [&h] { h.net.set_alive(h.next, true); });
+  h.issue();
+  h.sim.run();
+
+  EXPECT_EQ(h.sent, (Times{h.t0, h.deadline}));
+  EXPECT_EQ(h.delivered, (Times{h.deadline + h.lat}));
+  EXPECT_EQ(h.dropped, (Times{h.t0 + h.lat + extra}));
+  h.expect_found();
+}
+
+// --- cp-chain climbs ------------------------------------------------------------
+
+TEST(Hybrid, ClimbHopAllocatesNothing) {
+  // Deep s-network trees (ps 0.9, delta 2) and no caching or bypass links:
+  // two lookups of one remote key from the same s-network differ only in
+  // how many cp-chain hops they climb, so their allocations must match.
+  auto params = defaults();
+  params.ps = 0.9;
+  params.delta = 2;
+  params.enable_caching = false;
+  params.bypass_links = false;
+  HybridFixture f{93, params};
+  f.build(120);
+  const auto depth_of = [&f](PeerIndex p) {
+    std::uint32_t d = 0;
+    for (; f.system.role_of(p) != Role::kTPeer; p = f.system.parent_of(p)) ++d;
+    return d;
+  };
+  PeerIndex deep = kNoPeer;
+  for (const PeerIndex p : f.peers) {
+    if (deep == kNoPeer || depth_of(p) > depth_of(deep)) deep = p;
+  }
+  ASSERT_GE(depth_of(deep), 3u);
+  PeerIndex shallow = deep;
+  while (depth_of(shallow) > 1) shallow = f.system.parent_of(shallow);
+  const PeerIndex root = f.system.tpeer_of(deep);
+
+  // A key owned by some other t-peer, stored there locally.
+  std::string key;
+  for (std::size_t i = 0; key.empty(); ++i) {
+    const std::string k = "climb-key-" + std::to_string(i);
+    if (f.system.owner_tpeer(hash_key(k)) != root) key = k;
+  }
+  bool stored = false;
+  f.system.store(f.system.owner_tpeer(hash_key(key)), key, 7,
+                 [&] { stored = true; });
+  f.world.sim.run();
+  ASSERT_TRUE(stored);
+
+  const auto allocs_of = [&f, &key](PeerIndex requester) {
+    bool success = false;
+    const std::uint64_t before = alloc_stats::allocation_count();
+    f.system.lookup(requester, key,
+                    [&success](proto::LookupResult r) { success = r.success; });
+    f.world.sim.run();
+    const std::uint64_t allocs = alloc_stats::allocation_count() - before;
+    EXPECT_TRUE(success);
+    return allocs;
+  };
+  allocs_of(deep);  // warm the containers
+  const std::uint64_t deep_allocs = allocs_of(deep);
+  const std::uint64_t shallow_allocs = allocs_of(shallow);
+  EXPECT_EQ(deep_allocs, shallow_allocs)
+      << depth_of(deep) - 1 << " extra climb hops cost "
+      << static_cast<std::int64_t>(deep_allocs - shallow_allocs)
+      << " extra allocations";
 }
 
 // --- Keyword / partial search (Section 5.3) -------------------------------------------

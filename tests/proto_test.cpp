@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -89,6 +90,46 @@ TEST_F(OverlayNetworkTest, DeadSenderCannotSend) {
   EXPECT_FALSE(delivered);
   EXPECT_EQ(net.stats().messages_sent, 0u);
   EXPECT_EQ(net.stats().messages_dropped, 1u);
+}
+
+TEST_F(OverlayNetworkTest, SendWithFateReportsEveryFate) {
+  auto net = make_network();
+  const PeerIndex a = net.add_peer(HostIndex{0});
+  const PeerIndex b = net.add_peer(HostIndex{10});
+  const sim::SimTime lat = net.hop_latency(a, b, kQueryBytes);
+  std::vector<std::pair<bool, sim::SimTime>> fates;
+  const auto record = [&](bool delivered) {
+    fates.emplace_back(delivered, sim_.now());
+  };
+  // Delivered: the send returns the delivery time; the continuation hears
+  // true then.
+  EXPECT_EQ(net.send_with_fate(a, b, TrafficClass::kQuery, kQueryBytes, {},
+                               record),
+            lat);
+  sim_.run();
+  // Receiver dead at delivery: same return, the continuation hears false.
+  EXPECT_EQ(net.send_with_fate(a, b, TrafficClass::kQuery, kQueryBytes, {},
+                               record),
+            sim_.now() + lat);
+  net.set_alive(b, false);
+  sim_.run();
+  net.set_alive(b, true);
+  // Dropped at send (a fault-hook drop, then a dead sender): never(), and
+  // the continuation never runs.
+  net.set_fault([](PeerIndex, PeerIndex, TrafficClass, std::uint32_t) {
+    return FaultAction{.drop = true};
+  });
+  EXPECT_EQ(net.send_with_fate(a, b, TrafficClass::kQuery, kQueryBytes, {},
+                               record),
+            sim::SimTime::never());
+  net.set_fault({});
+  net.set_alive(a, false);
+  EXPECT_EQ(net.send_with_fate(a, b, TrafficClass::kQuery, kQueryBytes, {},
+                               record),
+            sim::SimTime::never());
+  sim_.run();
+  EXPECT_EQ(fates, (std::vector<std::pair<bool, sim::SimTime>>{
+                       {true, lat}, {false, lat + lat}}));
 }
 
 TEST_F(OverlayNetworkTest, PerClassAccounting) {

@@ -14,19 +14,14 @@
 namespace hp2p::exp {
 namespace {
 
-/// Flattens everything a replica measured into "key=value" lines, skipping
-/// the host-time keys (*.wall_ms) that legitimately vary between runs.
-std::string filtered_dump(const RunConfig& cfg, const RunResult& result) {
+/// Flattens everything a replica measured into "key=value" lines.  The
+/// metrics tree holds no host time, so two runs of one seed dump the same.
+std::string metrics_dump(const RunConfig& cfg, const RunResult& result) {
   stats::MetricsRegistry reg;
   collect_run_config(reg, "config", cfg);
   collect_run_result(reg, "run", result);
-  const std::string_view kWall = ".wall_ms";
   std::string out;
   for (const auto& [key, value] : reg.entries()) {
-    if (key.size() >= kWall.size() &&
-        key.compare(key.size() - kWall.size(), kWall.size(), kWall) == 0) {
-      continue;
-    }
     out += key;
     out += '=';
     out += value.dump();
@@ -49,8 +44,8 @@ RunConfig small_fig3_config(std::uint64_t seed) {
 
 TEST(Reproducibility, SameSeedProducesIdenticalMetrics) {
   const RunConfig cfg = small_fig3_config(1234);
-  const std::string first = filtered_dump(cfg, run_hybrid_experiment(cfg));
-  const std::string second = filtered_dump(cfg, run_hybrid_experiment(cfg));
+  const std::string first = metrics_dump(cfg, run_hybrid_experiment(cfg));
+  const std::string second = metrics_dump(cfg, run_hybrid_experiment(cfg));
   // Sanity: the comparison covers real content, including audit counters.
   EXPECT_GT(first.size(), 1000u);
   EXPECT_NE(first.find("run.lookup.succeeded="), std::string::npos);
@@ -61,8 +56,8 @@ TEST(Reproducibility, SameSeedProducesIdenticalMetrics) {
 TEST(Reproducibility, DifferentSeedsDiverge) {
   const RunConfig a = small_fig3_config(1234);
   const RunConfig b = small_fig3_config(4321);
-  EXPECT_NE(filtered_dump(a, run_hybrid_experiment(a)),
-            filtered_dump(b, run_hybrid_experiment(b)))
+  EXPECT_NE(metrics_dump(a, run_hybrid_experiment(a)),
+            metrics_dump(b, run_hybrid_experiment(b)))
       << "seed is not reaching the run (comparison would be vacuous)";
 }
 

@@ -56,6 +56,23 @@ TEST(Simulator, TiesBreakByScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+TEST(Simulator, ReservedSeqBreaksTiesAtReservationTime) {
+  Simulator s;
+  std::vector<int> order;
+  s.schedule_at(SimTime::millis(5), [&order] { order.push_back(0); });
+  const std::uint64_t seq = s.reserve_seq();
+  s.schedule_at(SimTime::millis(5), [&order] { order.push_back(2); });
+  // Scheduled last, but sorted where it was reserved: between 0 and 2.
+  s.schedule_reserved(SimTime::millis(5), seq,
+                      [&order] { order.push_back(1); });
+  // An unused reservation leaves no event behind.
+  (void)s.reserve_seq();
+  EXPECT_EQ(s.pending_events(), 3u);
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(s.stats().events_executed, 3u);
+}
+
 TEST(Simulator, ScheduleAfterIsRelative) {
   Simulator s;
   SimTime fired{};
