@@ -63,7 +63,7 @@ sim::SimTime OverlayNetwork::hop_latency(PeerIndex from, PeerIndex to,
 void OverlayNetwork::send(PeerIndex from, PeerIndex to, TrafficClass cls,
                           std::uint32_t bytes, stats::TraceContext ctx,
                           Delivery deliver) {
-  send_impl(from, to, cls, bytes, ctx, std::move(deliver));
+  send_impl(from, to, cls, bytes, ctx, deliver);
 }
 
 sim::SimTime OverlayNetwork::send_with_fate(PeerIndex from, PeerIndex to,
@@ -71,14 +71,14 @@ sim::SimTime OverlayNetwork::send_with_fate(PeerIndex from, PeerIndex to,
                                             std::uint32_t bytes,
                                             stats::TraceContext ctx,
                                             FateDelivery deliver) {
-  return send_impl(from, to, cls, bytes, ctx, std::move(deliver));
+  return send_impl(from, to, cls, bytes, ctx, deliver);
 }
 
 template <typename Deliver>
 sim::SimTime OverlayNetwork::send_impl(PeerIndex from, PeerIndex to,
                                        TrafficClass cls, std::uint32_t bytes,
                                        stats::TraceContext ctx,
-                                       Deliver deliver) {
+                                       Deliver& deliver) {
   constexpr bool kFated = std::is_same_v<Deliver, FateDelivery>;
   using Kind = NetTraceEvent::Kind;
   if (!alive(from)) {

@@ -268,11 +268,12 @@ class OverlayNetwork {
 
  private:
   /// The one body behind send() and send_with_fate(); `Deliver` is Delivery
-  /// or FateDelivery.
+  /// or FateDelivery, taken by reference so it is moved only into the
+  /// delivery event.
   template <typename Deliver>
   sim::SimTime send_impl(PeerIndex from, PeerIndex to, TrafficClass cls,
                          std::uint32_t bytes, stats::TraceContext ctx,
-                         Deliver deliver);
+                         Deliver& deliver);
 
   sim::Simulator& simulator_;
   const net::Underlay& underlay_;
