@@ -4,6 +4,8 @@
 // (Section 1: "neither ... can provide efficient, flexible, and robust
 // service alone").
 #include <cstdio>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -22,13 +24,47 @@ int main() {
       "joins, TTL misses; hybrid: tunable middle",
       scale);
 
+  // One map over all five runs, in table order.
+  std::vector<std::string> names;
+  std::vector<std::string> keys;
+  std::vector<std::variant<exp::ChordRunConfig, exp::GnutellaRunConfig,
+                           exp::RunConfig>>
+      cells;
+  const auto add = [&](std::string name, std::string key, auto cfg) {
+    cfg.seed = scale.seed;
+    cfg.num_peers = scale.peers;
+    cfg.num_items = scale.items;
+    cfg.num_lookups = scale.lookups;
+    names.push_back(std::move(name));
+    keys.push_back(std::move(key));
+    cells.emplace_back(cfg);
+  };
+  exp::ChordRunConfig chord;
+  chord.chord.routing = chord::RoutingMode::kRing;
+  add("chord (ring routing)", "chord_ring", chord);
+  chord.chord.routing = chord::RoutingMode::kFinger;
+  chord.maintenance = true;
+  chord.chord.stabilize_interval = sim::SimTime::millis(500);
+  add("chord (finger routing)", "chord_finger", chord);
+  exp::GnutellaRunConfig gnutella;
+  gnutella.gnutella.ttl = 5;
+  gnutella.gnutella.neighbors_per_join = 3;
+  add("gnutella (flood TTL=5)", "gnutella", gnutella);
+  for (double ps : {0.5, 0.7}) {
+    exp::RunConfig cfg = bench::base_config(scale);
+    cfg.hybrid.ps = ps;
+    cfg.hybrid.ttl = 6;
+    add("hybrid (p_s=" + stats::format_fixed(ps, 1) + ")",
+        "hybrid_ps_" + bench::metric_num(ps), cfg);
+  }
+  const auto runs = bench::sweep(cells, 1, [](exp::RunResult r) { return r; });
+
   stats::Table table{{"system", "join_ms", "lookup_ms", "failure",
                       "connum/lookup", "messages"}};
-
-  auto add_row = [&](const char* name, const char* key,
-                     const exp::RunResult& r) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const exp::RunResult& r = runs[i][0];
     table.row()
-        .cell(name)
+        .cell(names[i])
         .cell(r.join_latency_ms.mean(), 1)
         .cell(r.lookup_latency_ms.mean(), 1)
         .cell(r.lookups.failure_ratio(), 4)
@@ -37,47 +73,7 @@ int main() {
                       r.lookups.issued, 1)),
               1)
         .cell(r.network.messages_sent);
-    exp::collect_run_result(reporter.metrics(), key, r);
-  };
-
-  {
-    exp::ChordRunConfig cfg;
-    cfg.seed = scale.seed;
-    cfg.num_peers = scale.peers;
-    cfg.num_items = scale.items;
-    cfg.num_lookups = scale.lookups;
-    cfg.chord.routing = chord::RoutingMode::kRing;
-    add_row("chord (ring routing)", "chord_ring",
-            exp::run_chord_experiment(cfg));
-    cfg.chord.routing = chord::RoutingMode::kFinger;
-    cfg.maintenance = true;
-    cfg.chord.stabilize_interval = sim::SimTime::millis(500);
-    add_row("chord (finger routing)", "chord_finger",
-            exp::run_chord_experiment(cfg));
-  }
-  {
-    exp::GnutellaRunConfig cfg;
-    cfg.seed = scale.seed;
-    cfg.num_peers = scale.peers;
-    cfg.num_items = scale.items;
-    cfg.num_lookups = scale.lookups;
-    cfg.gnutella.ttl = 5;
-    cfg.gnutella.neighbors_per_join = 3;
-    add_row("gnutella (flood TTL=5)", "gnutella",
-            exp::run_gnutella_experiment(cfg));
-  }
-  std::vector<exp::RunConfig> cells;
-  for (double ps : {0.5, 0.7}) {
-    auto& cfg = cells.emplace_back(bench::base_config(scale));
-    cfg.hybrid.ps = ps;
-    cfg.hybrid.ttl = 6;
-  }
-  const auto runs = bench::sweep(cells, 1, [](const auto& r) { return r; });
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const double ps = cells[i].hybrid.ps;
-    const std::string name = "hybrid (p_s=" + stats::format_fixed(ps, 1) + ")";
-    const std::string key = "hybrid_ps_" + bench::metric_num(ps);
-    add_row(name.c_str(), key.c_str(), runs[i][0]);
+    exp::collect_run_result(reporter.metrics(), keys[i], r);
   }
   table.print(std::cout);
   reporter.add_table("baseline_comparison", table);

@@ -10,10 +10,13 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/env.hpp"
+#include "exp/baselines.hpp"
 #include "exp/harness.hpp"
 #include "exp/world.hpp"
 #include "stats/json.hpp"
@@ -91,29 +94,62 @@ struct Scale {
   return xs;
 }
 
-/// The one way a bench runs its grid: every cell config runs `replicas`
-/// times (replica r gets seed + r * 1000003) through exp::parallel_map, and
-/// `extract` reduces each RunResult on its worker.  Returns out[cell][r] in
-/// config order, so the output never depends on thread scheduling.  A
-/// config exp::validate() rejects exits 2 naming the knob.
-template <typename Extract>
-[[nodiscard]] auto sweep(const std::vector<exp::RunConfig>& cells,
+/// What a sweep cell can run: the hybrid harness or a pure baseline.
+inline exp::RunResult run(const exp::RunConfig& c) {
+  return exp::run_hybrid_experiment(c);
+}
+inline exp::RunResult run(const exp::ChordRunConfig& c) {
+  return exp::run_chord_experiment(c);
+}
+inline exp::RunResult run(const exp::GnutellaRunConfig& c) {
+  return exp::run_gnutella_experiment(c);
+}
+
+/// Observers are per-run state that a second thread would race on; only
+/// the hybrid harness takes them.
+inline bool observed(const exp::RunConfig& c) {
+  return c.tracer != nullptr || c.profiler != nullptr || c.flight != nullptr;
+}
+inline bool observed(const auto&) { return false; }
+
+template <typename T>
+inline constexpr bool kIsVariant = false;
+template <typename... Ts>
+inline constexpr bool kIsVariant<std::variant<Ts...>> = true;
+
+/// Applies `fn` to the runner config a cell holds: the cell itself, or the
+/// alternative a std::variant of configs holds.
+template <typename Cell, typename Fn>
+decltype(auto) on_config(Cell& cell, Fn fn) {
+  if constexpr (kIsVariant<std::remove_const_t<Cell>>) {
+    return std::visit(fn, cell);
+  } else {
+    return fn(cell);
+  }
+}
+
+/// The one way a bench runs its grid: every cell runs `replicas` times
+/// (replica r gets seed + r * 1000003) through exp::parallel_map, and
+/// `extract` reduces each RunResult on its worker.  A cell is one runner
+/// config, or a std::variant of them when a grid mixes runners.  Returns
+/// out[cell][r] in config order, so the output never depends on thread
+/// scheduling.  A config a runner rejects exits 2 naming the knob.
+template <typename Cell, typename Extract>
+[[nodiscard]] auto sweep(const std::vector<Cell>& cells,
                          std::size_t replicas, Extract extract) {
-  std::vector<exp::RunConfig> runs;
-  for (const exp::RunConfig& cell : cells) {
-    // Observers are per-run state that a second thread would race on.
-    if (cell.tracer != nullptr || cell.profiler != nullptr ||
-        cell.flight != nullptr) {
+  std::vector<Cell> runs;
+  for (const Cell& cell : cells) {
+    if (on_config(cell, [](const auto& c) { return observed(c); })) {
       throw std::logic_error{"bench::sweep: observed runs must run alone"};
     }
     for (std::size_t r = 0; r < replicas; ++r) {
-      runs.push_back(cell);
-      runs.back().seed = cell.seed + r * 1000003;
+      on_config(runs.emplace_back(cell),
+                [r](auto& c) { c.seed += r * 1000003; });
     }
   }
   try {
-    auto flat = exp::parallel_map(runs, [&](const exp::RunConfig& c) {
-      return extract(exp::run_hybrid_experiment(c));
+    auto flat = exp::parallel_map(runs, [&](const Cell& cell) {
+      return extract(on_config(cell, [](const auto& c) { return run(c); }));
     });
     std::vector<decltype(flat)> out(cells.size());
     for (std::size_t i = 0; i < flat.size(); ++i) {

@@ -6,11 +6,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hybrid/hybrid_system.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
-#include "proto/overlay_network.hpp"
-#include "sim/simulator.hpp"
+#include "exp/world.hpp"
 #include "workload/workload.hpp"
 
 using namespace hp2p;
@@ -26,26 +22,19 @@ struct Cost {
 
 Cost run(hybrid::SNetworkStyle style) {
   Rng rng{31337};
-  const auto topo_params = net::TransitStubParams::for_total_nodes(140);
-  net::Underlay underlay{net::generate_transit_stub(topo_params, rng), rng};
-  sim::Simulator simulator;
-  proto::OverlayNetwork network{simulator, underlay};
-
   hybrid::HybridParams params;
   params.ps = 0.9;  // big s-networks make the contrast visible
   params.ttl = 6;
   params.style = style;
-  hybrid::HybridSystem system{network, params, HostIndex{0}, rng};
-
-  std::vector<PeerIndex> peers;
-  for (std::uint32_t i = 0; i < 60; ++i) {
-    const auto role = i < 6 ? hybrid::Role::kTPeer : hybrid::Role::kSPeer;
-    simulator.schedule_after(sim::SimTime::millis(i * 40), [&, i, role] {
-      peers.push_back(
-          system.add_peer_with_role(HostIndex{1 + i}, role, {}));
-    });
-  }
+  exp::World world{
+      {.hosts = 140, .num_peers = 60, .ps = params.ps, .params = params},
+      rng};
+  sim::Simulator& simulator = world.sim();
+  hybrid::HybridSystem& system = world.system();
+  const proto::OverlayNetwork& network = world.network();
+  world.stage(6, 54, sim::SimTime::millis(40));
   simulator.run();
+  const std::vector<PeerIndex> peers = world.live_nonserver_peers();
 
   Rng op_rng = rng.fork(2);
   const auto corpus = workload::uniform_corpus(150, 5);

@@ -9,40 +9,29 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hybrid/hybrid_system.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
-#include "proto/overlay_network.hpp"
-#include "sim/simulator.hpp"
+#include "exp/world.hpp"
 #include "workload/workload.hpp"
 
 using namespace hp2p;
 
 int main() {
   Rng rng{99};
-  const auto topo_params = net::TransitStubParams::for_total_nodes(160);
-  net::Underlay underlay{net::generate_transit_stub(topo_params, rng), rng};
-  sim::Simulator simulator;
-  proto::OverlayNetwork network{simulator, underlay};
-
   hybrid::HybridParams params;
   params.ps = 0.7;
   params.ttl = 8;
   params.hello_interval = sim::SimTime::millis(500);
   params.hello_timeout = sim::SimTime::millis(1500);
   params.lookup_timeout = sim::SimTime::seconds(8);
-  hybrid::HybridSystem system{network, params, HostIndex{0}, rng};
+  exp::World world{
+      {.hosts = 160, .num_peers = 70, .ps = params.ps, .params = params},
+      rng};
+  sim::Simulator& simulator = world.sim();
+  hybrid::HybridSystem& system = world.system();
 
-  // Build 70 peers.
-  std::vector<PeerIndex> peers;
-  for (std::uint32_t i = 0; i < 70; ++i) {
-    const auto role = i < 21 ? hybrid::Role::kTPeer : hybrid::Role::kSPeer;
-    simulator.schedule_after(sim::SimTime::millis(i * 40), [&, i, role] {
-      peers.push_back(
-          system.add_peer_with_role(HostIndex{1 + i}, role, {}));
-    });
-  }
+  // Build 70 peers: 21 t-peers, then 49 s-peers.
+  world.stage(21, 49, sim::SimTime::millis(40));
   simulator.run();
+  const std::vector<PeerIndex> peers = world.live_nonserver_peers();
   std::printf("built: %zu t-peers, %zu s-peers; ring ok: %s\n",
               system.num_tpeers(), system.num_speers(),
               system.verify_ring() ? "yes" : "no");

@@ -10,11 +10,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "hybrid/hybrid_system.hpp"
-#include "net/transit_stub.hpp"
-#include "net/underlay.hpp"
-#include "proto/overlay_network.hpp"
-#include "sim/simulator.hpp"
+#include "exp/world.hpp"
 #include "workload/workload.hpp"
 
 using namespace hp2p;
@@ -28,12 +24,9 @@ struct Outcome {
 };
 
 Outcome run(bool interest_based) {
+  constexpr std::uint32_t kTPeers = 12;
+  constexpr std::uint32_t kPeers = 80;
   Rng rng{7};
-  const auto topo_params = net::TransitStubParams::for_total_nodes(160);
-  net::Underlay underlay{net::generate_transit_stub(topo_params, rng), rng};
-  sim::Simulator simulator;
-  proto::OverlayNetwork network{simulator, underlay};
-
   hybrid::HybridParams params;
   params.ps = 0.85;
   // Interest communities concentrate ~17 peers per tree; random descent can
@@ -41,20 +34,14 @@ Outcome run(bool interest_based) {
   params.ttl = 12;
   params.interest_based = interest_based;
   params.num_interests = 4;
-  hybrid::HybridSystem system{network, params, HostIndex{0}, rng};
-
-  constexpr std::uint32_t kPeers = 80;
-  std::vector<PeerIndex> peers;
-  for (std::uint32_t i = 0; i < kPeers; ++i) {
-    const auto role = i < 12 ? hybrid::Role::kTPeer : hybrid::Role::kSPeer;
-    const std::uint32_t interest = i % 4;
-    simulator.schedule_after(sim::SimTime::millis(i * 50), [&, i, role,
-                                                            interest] {
-      peers.push_back(system.add_peer_with_interest(HostIndex{1 + i}, role,
-                                                    interest, {}));
-    });
-  }
+  exp::World world{
+      {.hosts = 160, .num_peers = kPeers, .ps = params.ps, .params = params},
+      rng};
+  sim::Simulator& simulator = world.sim();
+  hybrid::HybridSystem& system = world.system();
+  world.stage(kTPeers, kPeers - kTPeers, sim::SimTime::millis(50));
   simulator.run();
+  const std::vector<PeerIndex> peers = world.live_nonserver_peers();
 
   // Each community publishes content that hashes into its own s-network's
   // segment (the point of interest-based grouping): 300 items total.

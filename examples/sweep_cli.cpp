@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
@@ -54,6 +55,17 @@ bool parse_double(const char* s, double& out) {
   return end != s && *end == '\0';
 }
 
+/// Matches `s` against `names`; the index of the match, or -1.  Callers
+/// list the names in their enum's declaration order, so the index casts.
+int parse_choice(const char* s, std::initializer_list<const char*> names) {
+  int i = 0;
+  for (const char* name : names) {
+    if (s != nullptr && std::strcmp(s, name) == 0) return i;
+    ++i;
+  }
+  return -1;
+}
+
 /// Digits only: strtoull alone would accept "-3" and wrap it to 2^64 - 3.
 bool parse_u64(const char* s, std::uint64_t& out) {
   if (s == nullptr || *s < '0' || *s > '9') return false;
@@ -80,6 +92,7 @@ int main(int argc, char** argv) {
     };
     std::uint64_t u = 0;
     double d = 0;
+    int k = 0;
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -98,29 +111,19 @@ int main(int argc, char** argv) {
       cfg.num_lookups = u;
     } else if (arg == "--seed" && parse_u64(next(), u)) {
       cfg.seed = u;
-    } else if (arg == "--placement" && parse_u64(next(), u)) {
-      cfg.hybrid.placement = u == 1 ? hybrid::PlacementScheme::kTPeerStores
-                                    : hybrid::PlacementScheme::kRandomSpread;
-    } else if (arg == "--style") {
-      const char* v = next();
-      if (v == nullptr) break;
-      if (std::strcmp(v, "star") == 0) {
-        cfg.hybrid.style = hybrid::SNetworkStyle::kStar;
-      } else if (std::strcmp(v, "mesh") == 0) {
-        cfg.hybrid.style = hybrid::SNetworkStyle::kMesh;
-      } else if (std::strcmp(v, "bt") == 0) {
-        cfg.hybrid.style = hybrid::SNetworkStyle::kBitTorrent;
-      }
-    } else if (arg == "--routing") {
-      const char* v = next();
-      if (v != nullptr && std::strcmp(v, "finger") == 0) {
-        cfg.hybrid.t_routing = hybrid::TRouting::kFinger;
-      }
-    } else if (arg == "--search") {
-      const char* v = next();
-      if (v != nullptr && std::strcmp(v, "walk") == 0) {
-        cfg.hybrid.s_search = hybrid::SSearch::kRandomWalk;
-      }
+    } else if (arg == "--placement" &&
+               (k = parse_choice(next(), {"1", "2"})) >= 0) {
+      cfg.hybrid.placement = static_cast<hybrid::PlacementScheme>(k);
+    } else if (arg == "--style" &&
+               (k = parse_choice(next(), {"tree", "star", "mesh", "bt"})) >=
+                   0) {
+      cfg.hybrid.style = static_cast<hybrid::SNetworkStyle>(k);
+    } else if (arg == "--routing" &&
+               (k = parse_choice(next(), {"ring", "finger"})) >= 0) {
+      cfg.hybrid.t_routing = static_cast<hybrid::TRouting>(k);
+    } else if (arg == "--search" &&
+               (k = parse_choice(next(), {"flood", "walk"})) >= 0) {
+      cfg.hybrid.s_search = static_cast<hybrid::SSearch>(k);
     } else if (arg == "--crash" && parse_double(next(), d)) {
       cfg.crash_fraction = d;
     } else if (arg == "--hetero") {

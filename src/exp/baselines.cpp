@@ -6,7 +6,41 @@
 
 namespace hp2p::exp {
 
+namespace {
+
+/// Schedules the lookup phase both baselines share: `n` lookups, one every
+/// `spacing`, each for a random corpus item from a random one of `peers`;
+/// none on an empty corpus, as in run_hybrid_experiment.
+template <typename Overlay>
+void schedule_lookups(sim::Simulator& sim, Overlay& overlay,
+                      const std::vector<PeerIndex>& peers,
+                      const std::vector<workload::WorkItem>& corpus,
+                      std::size_t n, sim::Duration spacing, Rng& rng,
+                      RunResult& result) {
+  for (std::size_t i = 0; i < n && !corpus.empty(); ++i) {
+    sim.schedule_after(
+        sim::SimTime::micros(static_cast<std::int64_t>(i) *
+                             spacing.as_micros()),
+        [&] {
+          const auto& item = corpus[rng.index(corpus.size())];
+          overlay.lookup(peers[rng.index(peers.size())], item.key,
+                         [&result](proto::LookupResult r) {
+                           result.lookups.record(r);
+                           if (r.success) {
+                             result.lookup_latency_ms.add(
+                                 r.latency.as_millis());
+                             result.lookup_hops.add(
+                                 static_cast<double>(r.request_hops));
+                           }
+                         });
+        });
+  }
+}
+
+}  // namespace
+
 RunResult run_chord_experiment(const ChordRunConfig& raw_config) {
+  validate(WorldConfig{.num_peers = raw_config.num_peers});
   ChordRunConfig config = raw_config;
   // Same timeout scaling rationale as the hybrid harness: ring-mode walks
   // are long but legitimate.
@@ -72,23 +106,8 @@ RunResult run_chord_experiment(const ChordRunConfig& raw_config) {
   }
 
   // ---- Lookups -------------------------------------------------------------------
-  for (std::size_t i = 0; i < config.num_lookups; ++i) {
-    sim.schedule_after(
-        sim::SimTime::micros(static_cast<std::int64_t>(i) *
-                             config.op_spacing.as_micros()),
-        [&] {
-          const auto& item = corpus[op_rng.index(corpus.size())];
-          chord.lookup(nodes[op_rng.index(nodes.size())], item.key,
-                       [&result](proto::LookupResult r) {
-                         result.lookups.record(r);
-                         if (r.success) {
-                           result.lookup_latency_ms.add(r.latency.as_millis());
-                           result.lookup_hops.add(
-                               static_cast<double>(r.request_hops));
-                         }
-                       });
-        });
-  }
+  schedule_lookups(sim, chord, nodes, corpus, config.num_lookups,
+                   config.op_spacing, op_rng, result);
   if (config.maintenance) {
     sim.run_until(sim.now() +
                   sim::SimTime::micros(static_cast<std::int64_t>(
@@ -107,8 +126,8 @@ RunResult run_chord_experiment(const ChordRunConfig& raw_config) {
   return result;
 }
 
-RunResult run_gnutella_experiment(const GnutellaRunConfig& raw_config) {
-  GnutellaRunConfig config = raw_config;
+RunResult run_gnutella_experiment(const GnutellaRunConfig& config) {
+  validate(WorldConfig{.num_peers = config.num_peers});
   Rng rng{config.seed};
   Rng topo_rng = rng.fork(1);
   Rng build_rng = rng.fork(2);
@@ -136,23 +155,8 @@ RunResult run_gnutella_experiment(const GnutellaRunConfig& raw_config) {
   }
 
   // ---- Lookups --------------------------------------------------------------------
-  for (std::size_t i = 0; i < config.num_lookups; ++i) {
-    sim.schedule_after(
-        sim::SimTime::micros(static_cast<std::int64_t>(i) *
-                             config.op_spacing.as_micros()),
-        [&] {
-          const auto& item = corpus[op_rng.index(corpus.size())];
-          g.lookup(peers[op_rng.index(peers.size())], item.key,
-                   [&result](proto::LookupResult r) {
-                     result.lookups.record(r);
-                     if (r.success) {
-                       result.lookup_latency_ms.add(r.latency.as_millis());
-                       result.lookup_hops.add(
-                           static_cast<double>(r.request_hops));
-                     }
-                   });
-        });
-  }
+  schedule_lookups(sim, g, peers, corpus, config.num_lookups,
+                   config.op_spacing, op_rng, result);
   sim.run();
 
   for (const auto p : peers) {

@@ -36,7 +36,8 @@ struct GnutellaRunConfig {
   sim::Duration op_spacing = sim::SimTime::millis(5);
 };
 
-/// Runs a full Chord replica (build -> populate -> lookups).
+/// Runs a full Chord replica (build -> populate -> lookups).  Both runners
+/// pass num_peers through exp::validate(), which throws on zero.
 [[nodiscard]] RunResult run_chord_experiment(const ChordRunConfig& config);
 
 /// Runs a full Gnutella replica.  Unstructured stores are local, so the

@@ -22,16 +22,13 @@ namespace {
 using hybrid::HybridSystem;
 using hybrid::Role;
 
-/// Role sequence with exactly round((1-ps) n) t-peers, first peer always a
-/// t-peer.  With capacity sorting, t-roles are paired with the fastest
-/// hosts by construction in the caller.
+/// Role sequence with exactly forced_tpeers(n, ps) t-peers, first peer
+/// always a t-peer.  With capacity sorting, t-roles are paired with the
+/// fastest hosts by construction in the caller.
 std::vector<Role> role_sequence(std::uint32_t n, double ps, bool tpeers_first,
                                 Rng& rng) {
-  auto n_t = static_cast<std::uint32_t>(
-      std::max(1.0, (1.0 - ps) * static_cast<double>(n) + 0.5));
-  n_t = std::min(n_t, n);
   std::vector<Role> roles(n, Role::kSPeer);
-  for (std::uint32_t i = 0; i < n_t; ++i) roles[i] = Role::kTPeer;
+  std::fill_n(roles.begin(), forced_tpeers(n, ps), Role::kTPeer);
   if (!tpeers_first) {
     std::vector<Role> tail(roles.begin() + 1, roles.end());
     rng.shuffle(tail);

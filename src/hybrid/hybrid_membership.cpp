@@ -38,25 +38,9 @@ HybridSystem::HybridSystem(proto::OverlayNetwork& network,
 
 // --- Server logic -------------------------------------------------------------
 
-Role HybridSystem::server_pick_role(HostIndex host) {
+Role HybridSystem::server_pick_role() {
   if (registry_.empty()) return Role::kTPeer;  // someone must seed the ring
-  double p_t = 1.0 - params_.ps;
-  if (params_.capacity_aware_roles) {
-    // Section 5.1: bias t-peer roles toward fast access links while keeping
-    // the overall expected t-peer fraction at 1 - p_s (weights average 1).
-    switch (net_.underlay().capacity(host)) {
-      case net::CapacityClass::kLow:
-        p_t *= 0.2;
-        break;
-      case net::CapacityClass::kMedium:
-        p_t *= 1.0;
-        break;
-      case net::CapacityClass::kHigh:
-        p_t *= 1.8;
-        break;
-    }
-  }
-  return rng_.chance(p_t) ? Role::kTPeer : Role::kSPeer;
+  return rng_.chance(1.0 - params_.ps) ? Role::kTPeer : Role::kSPeer;
 }
 
 PeerId HybridSystem::server_generate_pid() {
@@ -221,8 +205,8 @@ PeerIndex HybridSystem::add_peer(HostIndex host, JoinCallback done) {
 
   const sim::SimTime started = sim_.now();
   net_.send(i, server_, TrafficClass::kControl, proto::kControlBytes,
-            [this, i, host, started, done = std::move(done)]() mutable {
-              const Role role = server_pick_role(host);
+            [this, i, started, done = std::move(done)]() mutable {
+              const Role role = server_pick_role();
               peer(i).role = role;
               if (role == Role::kTPeer) {
                 start_tpeer_join(i, started, std::move(done));

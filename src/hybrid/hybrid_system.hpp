@@ -54,8 +54,8 @@ class HybridSystem {
   // --- Membership ------------------------------------------------------------
 
   /// A new peer contacts the server, which picks its role with probability
-  /// p_s (respecting capacity_aware_roles) and runs the matching join
-  /// protocol.  `done` fires once the peer is fully inserted.
+  /// p_s and runs the matching join protocol.  `done` fires once the peer
+  /// is fully inserted.
   PeerIndex add_peer(HostIndex host, JoinCallback done = {});
 
   /// Same, but the role is forced (benches use this for exact p_s ratios).
@@ -379,7 +379,7 @@ class HybridSystem {
 
   // --- Server logic (runs at server_) -----------------------------------------
 
-  [[nodiscard]] Role server_pick_role(HostIndex host);
+  [[nodiscard]] Role server_pick_role();
   [[nodiscard]] PeerId server_generate_pid();
   /// Picks the s-network for a joining s-peer: interest match, landmark
   /// cluster, or smallest size (Section 3.2.2 / 5.2 / 5.3).

@@ -74,8 +74,6 @@ struct HybridParams {
   bool bypass_links = false;
   sim::Duration bypass_lifetime = sim::SimTime::seconds(120);
 
-  /// Section 5.1: prefer high-capacity hosts as t-peers.
-  bool capacity_aware_roles = false;
   /// Section 5.1: accept an s-peer at a connect point whose link usage
   /// (degree / capacity class) is still low, instead of strictly degree<delta.
   bool link_usage_connect = false;

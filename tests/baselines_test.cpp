@@ -1,6 +1,9 @@
 // Integration tests for the Chord/Gnutella experiment harnesses.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "exp/baselines.hpp"
 
 namespace hp2p::exp {
@@ -89,6 +92,41 @@ TEST(Baselines, ChordJoinsSlowerThanGnutella) {
   const auto gnutella = run_gnutella_experiment(gnutella_config(9));
   EXPECT_GT(chord.join_latency_ms.mean(), gnutella.join_latency_ms.mean());
   EXPECT_EQ(chord.lookups.failed, 0u);
+}
+
+TEST(Baselines, ZeroPeersThrowNamingTheKnob) {
+  // The message of the std::invalid_argument `fn` throws ("" if none).
+  const auto rejection = [](auto fn) -> std::string {
+    try {
+      (void)fn();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  auto chord = chord_config(10);
+  chord.num_peers = 0;
+  auto gnutella = gnutella_config(10);
+  gnutella.num_peers = 0;
+  EXPECT_NE(rejection([&] { return run_chord_experiment(chord); })
+                .find("num_peers"),
+            std::string::npos);
+  EXPECT_NE(rejection([&] { return run_gnutella_experiment(gnutella); })
+                .find("num_peers"),
+            std::string::npos);
+}
+
+TEST(Baselines, EmptyCorpusIssuesNoLookups) {
+  auto chord = chord_config(11);
+  chord.num_items = 0;
+  auto gnutella = gnutella_config(11);
+  gnutella.num_items = 0;
+  const auto c = run_chord_experiment(chord);
+  const auto g = run_gnutella_experiment(gnutella);
+  EXPECT_EQ(c.joins_completed, 40u);
+  EXPECT_EQ(c.lookups.issued, 0u);
+  EXPECT_EQ(g.joins_completed, 40u);
+  EXPECT_EQ(g.lookups.issued, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Tests for bench::sweep(), the one way a paper bench runs its grid: the
-// replica seed rule, config-order results, the bad-config and zero-replica
-// exits and the refusal of runs that carry per-run observers.
+// replica seed rule, config-order results (also over a grid that mixes
+// runners), the bad-config and zero-replica exits and the refusal of runs
+// that carry per-run observers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "exp/baselines.hpp"
 #include "exp/harness.hpp"
 #include "stats/trace.hpp"
 
@@ -42,6 +45,27 @@ TEST(BenchSweep, ReturnsCellMajorReplicasWithTheSeedRule) {
                 exp::run_hybrid_experiment(cfg).network.messages_sent)
           << "cell " << i << " replica " << r;
     }
+  }
+}
+
+TEST(BenchSweep, MixesRunnersInConfigOrder) {
+  exp::ChordRunConfig chord;
+  chord.seed = 3;
+  chord.num_peers = 30;
+  chord.num_items = 40;
+  chord.num_lookups = 40;
+  using Cell = std::variant<exp::ChordRunConfig, exp::RunConfig>;
+  const std::vector<Cell> cells{chord, tiny_config(3, 0.6)};
+  const auto out = sweep(cells, 2, [](const exp::RunResult& r) {
+    return r.network.messages_sent;
+  });
+  ASSERT_EQ(out.size(), 2u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    auto c = chord;
+    c.seed += r * 1000003;
+    auto h = tiny_config(3 + r * 1000003, 0.6);
+    EXPECT_EQ(out[0][r], exp::run_chord_experiment(c).network.messages_sent);
+    EXPECT_EQ(out[1][r], exp::run_hybrid_experiment(h).network.messages_sent);
   }
 }
 

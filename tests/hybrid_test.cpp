@@ -1127,38 +1127,6 @@ TEST(Hybrid, MeshStyleFloodsWithDuplicateSuppression) {
   EXPECT_GT(successes, 30);
 }
 
-TEST(Hybrid, CapacityAwareRolesPreferFastTPeers) {
-  auto params = defaults();
-  params.ps = 0.6;
-  params.capacity_aware_roles = true;
-  HybridFixture f{79, params, 300};
-  // Use server-picked roles (add_peer) rather than forced ones.
-  std::size_t completed = 0;
-  for (int i = 0; i < 90; ++i) {
-    f.world.sim.schedule_after(
-        sim::SimTime::millis(static_cast<std::int64_t>(i) * 40), [&] {
-          f.peers.push_back(f.system.add_peer(
-              f.world.next_host(), [&](proto::JoinResult) { ++completed; }));
-        });
-  }
-  f.world.sim.run();
-  ASSERT_EQ(completed, 90u);
-  // Among t-peers, the high-capacity share must exceed the population share
-  // (1/3).
-  std::size_t t_total = 0;
-  std::size_t t_high = 0;
-  for (const auto p : f.peers) {
-    if (f.system.role_of(p) == Role::kTPeer && f.system.is_joined(p)) {
-      ++t_total;
-      const auto host = f.world.network->host_of(p);
-      t_high +=
-          (f.world.underlay->capacity(host) == net::CapacityClass::kHigh);
-    }
-  }
-  ASSERT_GT(t_total, 0u);
-  EXPECT_GT(static_cast<double>(t_high) / static_cast<double>(t_total), 0.40);
-}
-
 // --- Additional recovery / enhancement paths ---------------------------------------
 
 TEST(Hybrid, LonerTPeerCrashRepairsRingViaServer) {
